@@ -8,8 +8,8 @@ configuration or schema-invalid documents.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .graphs import window_graph_to_dot
@@ -29,9 +29,11 @@ from .pipeline import (
     graphs_stage,
     ingest_stage,
     kb_stage,
+    knob_type,
     mine_rules_stage,
     patterns_stage,
     preprocess_stage,
+    read_config,
     read_events,
     read_graphs,
     read_instances,
@@ -56,59 +58,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_KNOB_KEYS = (
-    "window", "min_sup", "min_conf", "k_max", "granularity", "gap",
-    "max_rate", "corr_window", "max_lag", "weight_mode", "ws_min",
-    "p_max", "combiner", "dim_default", "input_format", "seed", "threads",
-)
-
-
 def _add_knobs(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("analysis knobs (override the config file)")
     g.add_argument("--config", help="JSON config file")
-    g.add_argument("--window", type=float, help="episode window seconds")
-    g.add_argument("--min-sup", type=float, dest="min_sup")
-    g.add_argument("--min-conf", type=float, dest="min_conf")
-    g.add_argument("--k-max", type=int, dest="k_max")
-    g.add_argument("--granularity", type=float)
-    g.add_argument("--gap", type=float, help="coalescing gap seconds")
-    g.add_argument("--blacklist-file", dest="blacklist_file")
-    g.add_argument("--max-rate", type=float, dest="max_rate")
-    g.add_argument("--corr-window", type=float, dest="corr_window")
-    g.add_argument("--max-lag", type=float, dest="max_lag")
-    g.add_argument("--weight-mode", dest="weight_mode",
-                   choices=["confidence", "support", "product"])
-    g.add_argument("--ws-min", type=float, dest="ws_min")
-    g.add_argument("--p-max", type=int, dest="p_max")
-    g.add_argument("--combiner", choices=["geomean", "min", "product"])
-    g.add_argument("--dim-default", dest="dim_default")
-    g.add_argument("--format", dest="input_format", choices=["jsonl", "csv"])
-    g.add_argument("--seed", type=int)
-    g.add_argument("--threads", type=int)
+    g.add_argument("--blacklist-file", dest="blacklist_file",
+                   help="file of template ids to add to the blacklist")
+    for f in fields(PipelineConfig):
+        flag = f.metadata["flag"]
+        if flag is None:
+            continue
+        g.add_argument(flag or "--" + f.name.replace("_", "-"), dest=f.name,
+                       type=knob_type(f.name), choices=f.metadata["choices"] or None,
+                       help=f.metadata["meaning"])
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$", f"config is not valid JSON: {exc.msg}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("$", "config must be a JSON object")
-        data.update(raw)
-    for key in _KNOB_KEYS:
-        value = getattr(args, key, None)
+    data = read_config(args.config) if args.config else {}
+    for f in fields(PipelineConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
-    if getattr(args, "blacklist_file", None):
-        ids = load_blacklist(args.blacklist_file)
-        data["blacklist"] = sorted(set(data.get("blacklist", ())) | ids)
-    if getattr(args, "input", None):
-        data["input"] = args.input
-    if getattr(args, "out", None):
-        data["out"] = args.out
-    return PipelineConfig.from_dict(data)
+            data[f.name] = value
+    cfg = PipelineConfig.from_dict(data)
+    if args.blacklist_file:
+        ids = set(cfg.blacklist) | load_blacklist(args.blacklist_file)
+        cfg = replace(cfg, blacklist=tuple(sorted(ids)))
+    return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -221,12 +221,9 @@ def parse_lines(
     If more than half of all non-blank lines are rejected the stream is
     considered unusable and ParseError is raised.
     """
-    if fmt == "jsonl":
-        result = _parse_jsonl(stream, dim_default)
-    elif fmt == "csv":
-        result = _parse_csv(stream, dim_default)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
+    result = FORMATS[fmt](stream, dim_default)
     total = len(result.records) + len(result.rejects)
     if total and len(result.rejects) * 2 > total:
         raise ParseError(
@@ -295,6 +292,9 @@ def _parse_csv(stream, dim_default: Dimension | None) -> ParseResult:
         else:
             records.append(record)
     return ParseResult(records, rejects)
+
+
+FORMATS = {"jsonl": _parse_jsonl, "csv": _parse_csv}
 
 
 def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[LogRecord | None, str]:

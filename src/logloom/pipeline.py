@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .episodes import (
     RuleInstance,
@@ -18,6 +18,7 @@ from .episodes import (
     mine_episodes,
 )
 from .graphs import (
+    WEIGHT_MODES,
     GraphConfig,
     GraphNode,
     WindowGraph,
@@ -25,6 +26,7 @@ from .graphs import (
     label_weights,
 )
 from .ingest import (
+    FORMATS,
     CanonicalEvent,
     Dimension,
     RejectEntry,
@@ -34,6 +36,7 @@ from .ingest import (
 )
 from .knowledge import KnowledgeBase, MergeReport, export, load, merge
 from .patterns import (
+    COMBINERS,
     FailurePattern,
     knowledge_confidence,
     mine_patterns,
@@ -50,145 +53,140 @@ class ConfigError(Exception):
         self.key = key
 
 
-_WEIGHT_MODES = ("confidence", "support", "product")
-_COMBINERS = ("geomean", "min", "product")
-_FORMATS = ("jsonl", "csv")
+def _knob(default: Any, meaning: str, check=None, choices=(), flag: str | None = "") -> Any:
+    """Declare a config field.
+
+    `check` is a (predicate, message) pair for values that are not None.
+    `flag` is the CLI spelling: empty for `--` plus the key with `-` for
+    `_`, None for no flag.
+    """
+    return field(
+        default=default,
+        metadata={"meaning": meaning, "check": check, "choices": tuple(choices), "flag": flag},
+    )
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the pipeline; validated on construction."""
+    """Every knob of the pipeline; validated on construction.
 
-    window: float = 120.0
-    min_sup: float = 0.1
-    min_conf: float = 0.0
-    k_max: int = 4
-    granularity: float = 1.0
-    gap: float = 5.0
-    blacklist: tuple[int, ...] = ()
-    max_rate: float | None = None
-    corr_window: float = 300.0
-    max_lag: float = 120.0
-    weight_mode: str = "confidence"
-    ws_min: float = 0.1
-    p_max: int = 6
-    combiner: str = "geomean"
-    dim_default: str | None = None
-    input_format: str = "jsonl"
-    input: str | None = None
-    out: str | None = None
-    seed: int = 0
-    threads: int = 1
+    Each field declares its knob once: name, type and default here, range
+    check, choices and meaning in its metadata. Validation, the CLI flags
+    and the README configuration table all follow from these fields.
+    """
+
+    window: float = _knob(120.0, "episode window length, seconds", _POSITIVE)
+    min_sup: float = _knob(
+        0.1, "minimum fraction of windows containing an episode", _FRACTION
+    )
+    min_conf: float = _knob(
+        0.0, "minimum rule confidence", (lambda v: 0 <= v <= 1, "must be in [0, 1]")
+    )
+    k_max: int = _knob(4, "longest episode mined", _AT_LEAST_ONE)
+    granularity: float = _knob(1.0, "tick size; window must be a multiple", _POSITIVE)
+    gap: float = _knob(
+        5.0, "coalescing gap for repeated identical events, seconds", _POSITIVE
+    )
+    blacklist: tuple[int, ...] = _knob(
+        (),
+        "template ids dropped outright",
+        (lambda ids: all(t >= 0 for t in ids), "must hold non-negative template ids"),
+        flag=None,
+    )
+    max_rate: float | None = _knob(
+        None, "drop a node's template stream above this many events/hour", _POSITIVE
+    )
+    corr_window: float = _knob(300.0, "correlation window length, seconds", _POSITIVE)
+    max_lag: float = _knob(
+        120.0, "longest edge-forming lag between rule instances", _POSITIVE
+    )
+    weight_mode: str = _knob("confidence", "rule weight source", choices=WEIGHT_MODES)
+    ws_min: float = _knob(0.1, "minimum weighted support for a pattern", _FRACTION)
+    p_max: int = _knob(6, "largest pattern, nodes", _AT_LEAST_ONE)
+    combiner: str = _knob(
+        "geomean",
+        "folds rule confidences into knowledge confidence",
+        choices=COMBINERS,
+    )
+    dim_default: str | None = _knob(
+        None,
+        "dimension assumed when a record lacks one",
+        choices=(d.value for d in Dimension),
+    )
+    input_format: str = _knob("jsonl", "input log format", choices=FORMATS, flag="--format")
+    input: str | None = _knob(None, "input log file", flag=None)
+    out: str | None = _knob(None, "output directory", flag=None)
 
     def __post_init__(self) -> None:
-        def check(cond: bool, key: str, message: str) -> None:
-            if not cond:
-                raise ConfigError(key, message)
-
-        for key in ("window", "min_sup", "min_conf", "granularity", "gap",
-                    "corr_window", "max_lag", "ws_min"):
-            value = getattr(self, key)
-            check(
-                not isinstance(value, bool) and isinstance(value, (int, float)),
-                key,
-                "must be a number",
-            )
-            object.__setattr__(self, key, float(value))
-        if self.max_rate is not None:
-            check(
-                not isinstance(self.max_rate, bool)
-                and isinstance(self.max_rate, (int, float)),
-                "max_rate",
-                "must be a number",
-            )
-            object.__setattr__(self, "max_rate", float(self.max_rate))
-        object.__setattr__(self, "blacklist", tuple(self.blacklist))
-
-        check(self.window > 0, "window", "must be > 0")
-        check(self.granularity > 0, "granularity", "must be > 0")
+        for f in fields(self):
+            value = _coerce(f.name, _TYPES[f.name], getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+            if value is None:
+                continue
+            check, choices = f.metadata["check"], f.metadata["choices"]
+            if check and not check[0](value):
+                raise ConfigError(f.name, check[1])
+            if choices and value not in choices:
+                raise ConfigError(f.name, f"must be one of {choices}")
         ticks = self.window / self.granularity
-        check(
-            abs(ticks - round(ticks)) <= 1e-9 and round(ticks) >= 1,
-            "window",
-            "must be a positive integer multiple of granularity",
-        )
-        check(0 < self.min_sup <= 1, "min_sup", "must be in (0, 1]")
-        check(0 <= self.min_conf <= 1, "min_conf", "must be in [0, 1]")
-        check(self.k_max >= 1, "k_max", "must be >= 1")
-        check(self.gap > 0, "gap", "must be > 0")
-        check(
-            all(isinstance(t, int) and t >= 0 for t in self.blacklist),
-            "blacklist",
-            "must hold non-negative template ids",
-        )
-        check(
-            self.max_rate is None or self.max_rate > 0,
-            "max_rate",
-            "must be > 0 when set",
-        )
-        check(self.corr_window > 0, "corr_window", "must be > 0")
-        check(
-            0 < self.max_lag <= self.corr_window,
-            "max_lag",
-            "must be in (0, corr_window]",
-        )
-        check(
-            self.weight_mode in _WEIGHT_MODES,
-            "weight_mode",
-            f"must be one of {_WEIGHT_MODES}",
-        )
-        check(0 < self.ws_min <= 1, "ws_min", "must be in (0, 1]")
-        check(self.p_max >= 1, "p_max", "must be >= 1")
-        check(self.combiner in _COMBINERS, "combiner", f"must be one of {_COMBINERS}")
-        if self.dim_default is not None:
-            try:
-                Dimension(self.dim_default)
-            except ValueError:
-                raise ConfigError("dim_default", "is not a dimension") from None
-        check(
-            self.input_format in _FORMATS,
-            "input_format",
-            f"must be one of {_FORMATS}",
-        )
-        check(self.threads >= 1, "threads", "must be >= 1")
+        if abs(ticks - round(ticks)) > 1e-9 or round(ticks) < 1:
+            raise ConfigError("window", "must be a positive integer multiple of granularity")
+        if self.max_lag > self.corr_window:
+            raise ConfigError("max_lag", "must be in (0, corr_window]")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
         """Build from parsed JSON, rejecting unknown keys."""
-        known = {f.name: f for f in fields(cls)}
-        kwargs: dict[str, Any] = {}
-        for key, value in data.items():
+        known = {f.name for f in fields(cls)}
+        for key in data:
             if key not in known:
                 raise ConfigError(key, "unknown configuration key")
-            kwargs[key] = value
-        if "blacklist" in kwargs:
-            raw = kwargs["blacklist"]
-            if not isinstance(raw, list):
-                raise ConfigError("blacklist", "must be an array of template ids")
-            kwargs["blacklist"] = tuple(raw)
-        for key in ("window", "min_sup", "min_conf", "granularity", "gap",
-                    "max_rate", "corr_window", "max_lag", "ws_min"):
-            if key in kwargs and kwargs[key] is not None:
-                value = kwargs[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(key, "must be a number")
-                kwargs[key] = float(value)
-        for key in ("k_max", "p_max", "seed", "threads"):
-            if key in kwargs:
-                value = kwargs[key]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(key, "must be an integer")
-        for key in ("weight_mode", "combiner", "dim_default", "input_format", "input", "out"):
-            if key in kwargs and kwargs[key] is not None and not isinstance(kwargs[key], str):
-                raise ConfigError(key, "must be a string")
-        return cls(**kwargs)
+        return cls(**data)
 
 
-_DIGEST_EXCLUDED = ("input", "out", "seed", "threads")
+_TYPES = get_type_hints(PipelineConfig)
+_SCALARS = {
+    float: ((int, float), "must be a number"),
+    int: (int, "must be an integer"),
+    str: (str, "must be a string"),
+}
+
+
+def knob_type(name: str) -> type:
+    """The type of knob `name`, without the `| None` of optional knobs."""
+    args = get_args(_TYPES[name])
+    return args[0] if type(None) in args else _TYPES[name]
+
+
+def _coerce(key: str, hint: Any, value: Any) -> Any:
+    """Check `value` against type `hint`, making ints floats where floats
+    are expected and lists tuples; a bool is never a number, and
+    infinity and NaN are not numbers a knob takes."""
+    args = get_args(hint)
+    if type(None) in args:
+        return None if value is None else _coerce(key, args[0], value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(key, "must be an array")
+        return tuple(_coerce(key, args[0], v) for v in value)
+    accepted, message = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(key, message)
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(key, "must be finite")
+    return hint(value)
+
+
+_DIGEST_EXCLUDED = ("input", "out")
 
 
 def config_digest(cfg: PipelineConfig) -> str:
-    """Hash of the analysis knobs; paths, seed and threads do not count."""
+    """Hash of the analysis knobs; paths do not count."""
     payload = {
         f.name: getattr(cfg, f.name)
         for f in fields(cfg)
@@ -199,14 +197,19 @@ def config_digest(cfg: PipelineConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def read_config(path: str | Path) -> dict[str, Any]:
+    """The JSON object in a config file, not yet validated."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"config is not valid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ConfigError("$", "config must be a JSON object")
-    return PipelineConfig.from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    return PipelineConfig.from_dict(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +386,18 @@ def preprocess_stage(
 def mine_rules_stage(
     cfg: PipelineConfig, events: Sequence[CanonicalEvent]
 ) -> tuple[list[SequenceRule], list[RuleInstance]]:
-    """Mine each dimension independently; merge in dimension order.
-
-    Dimensions are independent work units, so `threads` may run them in
-    parallel without affecting the merged result.
-    """
-    dims = sorted({e.dim for e in events}, key=lambda d: d.rank)
-
-    def mine_dim(dim: Dimension) -> tuple[list[SequenceRule], list[RuleInstance]]:
+    """Mine each dimension independently; merge in dimension order."""
+    rules: list[SequenceRule] = []
+    instances: list[RuleInstance] = []
+    for dim in sorted({e.dim for e in events}, key=lambda d: d.rank):
         dim_events = [e for e in events if e.dim == dim]
         episodes = mine_episodes(
             dim_events, cfg.window, cfg.min_sup, cfg.k_max, cfg.granularity
         )
-        rules = derive_rules(episodes, cfg.min_conf)
-        instances: list[RuleInstance] = []
-        for rule in rules:
+        dim_rules = derive_rules(episodes, cfg.min_conf)
+        rules.extend(dim_rules)
+        for rule in dim_rules:
             instances.extend(find_instances(rule, dim_events, cfg.window))
-        return rules, instances
-
-    if cfg.threads > 1 and len(dims) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(mine_dim, dims))
-    else:
-        results = [mine_dim(d) for d in dims]
-
-    rules = [r for rs, _ in results for r in rs]
-    instances = [i for _, insts in results for i in insts]
     instances.sort(key=lambda i: (i.anchor, i.dim.rank, i.rule_id, i.node))
     return rules, instances
 
@@ -501,7 +490,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     Outputs other than report.txt (which carries timings) are
     byte-deterministic functions of the input file and the analysis
-    knobs; `threads` and `seed` never influence them.
+    knobs.
     """
     if not cfg.input:
         raise ConfigError("input", "required for pipeline runs")

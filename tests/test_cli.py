@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from logloom import PipelineConfig, config_digest
+from logloom import ConfigError, PipelineConfig, config_digest
 from logloom.cli import main
 
 SCENARIO = {
@@ -67,6 +70,18 @@ class TestExitCodes:
         log = tmp_path / "log.jsonl"
         log.write_text('{"ts": 1, "node": "a", "dim": "event", "msg": "x"}\n')
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "o"), "--min-sup", "2.0"]) == 3
+
+    @pytest.mark.parametrize("knob", ["threads", "seed"])
+    def test_retired_knob_is_rejected(self, tmp_path, capsys, knob):
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"ts": 1, "node": "a", "dim": "event", "msg": "x"}\n')
+        run = ["pipeline", "--input", str(log), "--out", str(tmp_path / "o")]
+        assert main(run + [f"--{knob}", "4"]) == 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({knob: 2}))
+        capsys.readouterr()
+        assert main(run + ["--config", str(cfg)]) == 3
+        assert knob in capsys.readouterr().err
 
     def test_invalid_scenario_is_3(self, tmp_path, capsys):
         bad = tmp_path / "scenario.json"
@@ -139,11 +154,6 @@ class TestComposability:
         assert (s / "5" / "kb.json").read_bytes() == (run / "kb.json").read_bytes()
         assert "digraph window_0" in (s / "4" / "graphs.dot").read_text()
 
-    def test_threads_do_not_change_output(self, workdir, tmp_path):
-        log = workdir / "data" / "log.jsonl"
-        assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "t4"), "--threads", "4"]) == 0
-        assert (tmp_path / "t4" / "kb.json").read_bytes() == (workdir / "run" / "kb.json").read_bytes()
-
 
 class TestFlagPrecedence:
     def test_flag_overrides_config_file(self, workdir, tmp_path, capsys):
@@ -158,6 +168,54 @@ class TestFlagPrecedence:
         digest_b = json.loads((tmp_path / "b" / "kb.json").read_text())["metadata"]["config_digest"]
         assert digest_a == config_digest(PipelineConfig.from_dict({"min_sup": 0.5}))
         assert digest_b == config_digest(PipelineConfig.from_dict({"min_sup": 0.2}))
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("key, value", [
+        ("p_max", 2.5),
+        ("k_max", True),
+        ("k_max", "3"),
+        ("blacklist", [True]),
+        ("blacklist", [-1]),
+        ("window", True),
+        ("max_rate", "30"),
+        ("min_sup", 0),
+        ("weight_mode", "uniform"),
+        ("dim_default", "disk"),
+        ("input", 7),
+        ("max_lag", 301),
+        ("window", 120.5),
+        ("window", float("inf")),
+    ])
+    def test_bad_value_names_its_key(self, key, value):
+        for build in (lambda: PipelineConfig(**{key: value}),
+                      lambda: PipelineConfig.from_dict({key: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.key == key
+
+    def test_readme_table_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            m = re.fullmatch(r"\| `(\w+)` \| (.+?) \| (.+) \|", line)
+            if m:
+                rows[m[1]] = (m[2], m[3])
+        knobs = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+        assert set(rows) == set(knobs) - {"input", "out"}
+        for key, (default, meaning) in rows.items():
+            f = knobs[key]
+            listed = tuple(re.findall(r"`([^`]+)`", meaning))
+            assert listed == f.metadata["choices"], key
+            assert meaning.split(": `")[0] == f.metadata["meaning"], key
+            text = default.strip("`")
+            try:
+                value = None if text == "off" else json.loads(text)
+            except json.JSONDecodeError:
+                value = text
+            expected = list(f.default) if isinstance(f.default, tuple) else f.default
+            assert value == expected, key
 
 
 class TestQuery:
