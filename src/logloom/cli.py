@@ -30,6 +30,7 @@ from .pipeline import (
     ingest_stage,
     kb_stage,
     knob_type,
+    load_blacklist,
     mine_rules_stage,
     patterns_stage,
     preprocess_stage,
@@ -45,7 +46,6 @@ from .pipeline import (
     write_instances,
     write_rejects,
 )
-from .preprocess import load_blacklist
 from .synth import ScenarioError, generate, load_scenario, write_jsonl
 
 

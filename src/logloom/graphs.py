@@ -56,6 +56,16 @@ class WindowGraph:
     nodes: tuple[GraphNode, ...]
     edges: frozenset[tuple[Label, Label, str]]
 
+    def __post_init__(self) -> None:
+        labels: set[Label] = set()
+        for gn in self.nodes:
+            if gn.label in labels:
+                raise ValueError(f"node label {_name(gn.label)} is not unique")
+            labels.add(gn.label)
+        for u, v, _ in self.edges:
+            if u not in labels or v not in labels:
+                raise ValueError(f"edge {_name(u)} -> {_name(v)} joins a label that is not a node")
+
     def digraph(self) -> Digraph:
         index = {gn.label: i for i, gn in enumerate(self.nodes)}
         return Digraph(
@@ -65,6 +75,10 @@ class WindowGraph:
 
     def weights(self) -> tuple[float, ...]:
         return tuple(gn.weight for gn in self.nodes)
+
+
+def _name(label: Label) -> str:
+    return f"{label[0].value}:{label[1]}"
 
 
 def rule_weight(rule: SequenceRule, weight_mode: str) -> float:
@@ -132,11 +146,9 @@ def window_graph_to_dot(graph: WindowGraph) -> str:
     """Render one window graph in DOT form for graphviz."""
     lines = [f"digraph window_{graph.window_index} {{"]
     for gn in graph.nodes:
-        name = f"{gn.label[0].value}:{gn.label[1]}"
+        name = _name(gn.label)
         lines.append(f'  "{name}" [label="{name}\\nw={gn.weight:.4f}"];')
     for u, v, kind in sorted(graph.edges):
-        lines.append(
-            f'  "{u[0].value}:{u[1]}" -> "{v[0].value}:{v[1]}" [label="{kind}"];'
-        )
+        lines.append(f'  "{_name(u)}" -> "{_name(v)}" [label="{kind}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

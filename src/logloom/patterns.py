@@ -566,6 +566,40 @@ def pattern_confidence(pattern: FailurePattern, graphs: Sequence, rules) -> floa
     return full_count / reduced_count
 
 
+def structural_confidences(
+    patterns: Sequence[FailurePattern], graphs: Sequence, rules
+) -> list[float]:
+    """`pattern_confidence` of each pattern over window graphs, in order.
+
+    Window graph labels are unique and their edges are keyed by label, so
+    a pattern embeds in a window exactly when its labels are distinct and
+    all among the window's labels, and its arcs, keyed by label, are all
+    among the window's edges. Counting needs no search.
+    """
+    rule_map = _rule_map(rules)
+    hosts = [(frozenset(gn.label for gn in g.nodes), g.edges) for g in graphs]
+
+    def count(g: Digraph) -> int:
+        labels = frozenset(g.labels)
+        if len(labels) < g.n:
+            return 0
+        arcs = {(g.labels[u], g.labels[v], el) for u, v, el in g.edges}
+        return sum(1 for nodes, edges in hosts if labels <= nodes and arcs <= edges)
+
+    out: list[float] = []
+    for pattern in patterns:
+        g = pattern.graph
+        if g.n == 1:
+            out.append(rule_map[g.labels[0]].confidence)
+            continue
+        reduced = remove_node(g, consequent_index(g))
+        full_count = count(g)
+        if full_count == 0:
+            raise ValueError("pattern does not occur in the graph database")
+        out.append(full_count / count(reduced))
+    return out
+
+
 COMBINERS: dict[str, Callable[[Sequence[float]], float]] = {
     "geomean": lambda cs: _product(cs) ** (1.0 / len(cs)),
     "min": min,

@@ -34,13 +34,13 @@ from .ingest import (
     canonicalize,
     parse_lines,
 )
-from .knowledge import KnowledgeBase, MergeReport, export, load, merge
+from .knowledge import KnowledgeBase, MergeReport, SchemaError, export, load, merge
 from .patterns import (
     COMBINERS,
     FailurePattern,
     knowledge_confidence,
     mine_patterns,
-    pattern_confidence,
+    structural_confidences,
 )
 from .preprocess import CoalescePolicy, NoisePolicy, NoiseReport, coalesce, filter_noise
 
@@ -212,6 +212,23 @@ def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig.from_dict(read_config(path))
 
 
+def load_blacklist(path: str | Path) -> frozenset[int]:
+    """Read template ids from a text file, one per line, '#' comments allowed."""
+    ids: set[int] = set()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            ids.add(int(text))
+        except ValueError:
+            raise ConfigError(
+                "blacklist", f"{path}: line {line_no}: {text!r} is not a template id"
+            ) from None
+    return frozenset(ids)
+
+
 # ---------------------------------------------------------------------------
 # interchange files
 
@@ -339,7 +356,7 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
 def read_graphs(path: str | Path) -> list[WindowGraph]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     out: list[WindowGraph] = []
-    for raw in doc["graphs"]:
+    for i, raw in enumerate(doc["graphs"]):
         nodes = tuple(
             GraphNode(
                 label=(Dimension(n["dim"]), n["rule_id"]),
@@ -353,7 +370,10 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
             ((Dimension(d1), r1), (Dimension(d2), r2), kind)
             for d1, r1, d2, r2, kind in raw["edges"]
         )
-        out.append(WindowGraph(raw["window_index"], nodes, edges))
+        try:
+            out.append(WindowGraph(raw["window_index"], nodes, edges))
+        except ValueError as exc:
+            raise SchemaError(f"$.graphs[{i}]", str(exc)) from None
     return out
 
 
@@ -422,9 +442,11 @@ def patterns_stage(
         return []
     weights = label_weights(rules, cfg.weight_mode)
     rule_map = {r.label: r for r in rules}
+    mined = mine_patterns(graphs, weights, cfg.ws_min, cfg.p_max)
+    confidences = structural_confidences(mined, graphs, rule_map)
     out: list[FailurePattern] = []
-    for p in mine_patterns(graphs, weights, cfg.ws_min, cfg.p_max):
-        p = replace(p, structural_confidence=pattern_confidence(p, graphs, rule_map))
+    for p, conf in zip(mined, confidences):
+        p = replace(p, structural_confidence=conf)
         p = replace(
             p, knowledge_confidence=knowledge_confidence(p, rule_map, cfg.combiner)
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .ingest import CanonicalEvent
@@ -120,13 +119,3 @@ def filter_noise(
     report.rate_dropped = len(events) - report.blacklist_dropped - len(kept)
     report.noisy_streams = tuple(sorted(noisy))
     return kept, report
-
-
-def load_blacklist(path: str | Path) -> frozenset[int]:
-    """Read template ids from a text file, one per line, '#' comments allowed."""
-    ids: set[int] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        text = line.split("#", 1)[0].strip()
-        if text:
-            ids.add(int(text))
-    return frozenset(ids)

@@ -93,6 +93,33 @@ class TestExitCodes:
         kb.write_text('{"version": 99}')
         assert main(["query", "--kb", str(kb), "--target", "status:0"]) == 3
 
+    def test_non_integer_blacklist_line_is_3_and_located(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": 1.0, "node": "a", "dim": "event", "template": 0, "count": 1}\n')
+        blacklist = tmp_path / "blacklist.txt"
+        blacklist.write_text("3  # noisy\n\nabc\n")
+        assert main([
+            "preprocess", "--events", str(events), "--blacklist-file", str(blacklist),
+            "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "blacklist" in err and str(blacklist) in err and "line 3" in err
+
+    @pytest.mark.parametrize("fault", ["duplicate_label", "edge_to_missing_label"])
+    def test_invalid_window_graph_is_3(self, workdir, tmp_path, capsys, fault):
+        doc = json.loads((workdir / "run" / "graphs.json").read_text())
+        graph = doc["graphs"][1]
+        first = graph["nodes"][0]
+        if fault == "duplicate_label":
+            graph["nodes"].append(dict(first))
+        else:
+            graph["edges"].append([first["dim"], first["rule_id"], "ras", 999, "cross"])
+        bad = tmp_path / "graphs.json"
+        bad.write_text(json.dumps(doc))
+        assert main([
+            "mine-patterns", "--graphs", str(bad),
+            "--rules", str(workdir / "run" / "rules.json"), "--out", str(tmp_path / "o")]) == 3
+        assert "$.graphs[1]" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_outputs_exist(self, workdir):

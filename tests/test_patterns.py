@@ -2,12 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logloom import (
     Digraph,
     Dimension,
     FailurePattern,
+    GraphNode,
+    PipelineConfig,
     SequenceRule,
+    WindowGraph,
     knowledge_confidence,
     min_dfs_code,
     mine_patterns,
@@ -16,6 +21,9 @@ from logloom import (
     subgraph_contains,
     weighted_support,
 )
+from logloom import patterns as patterns_module
+from logloom.patterns import structural_confidences
+from logloom.pipeline import patterns_stage
 
 from _oracles import (
     brute_contains,
@@ -290,6 +298,83 @@ class TestConfidence:
         assert prod == pytest.approx(0.5 * 0.36)
         with pytest.raises(ValueError):
             knowledge_confidence(pattern, rules, "mean")
+
+
+def _window(index, labels, edges):
+    """Window graph whose anchors follow `labels` order."""
+    nodes = tuple(GraphNode(label, 1.0, float(k), "n1") for k, label in enumerate(labels))
+    return WindowGraph(index, nodes, frozenset(edges))
+
+
+LABEL_POOL = [(dim, rid) for dim in (Dimension.EVENT, Dimension.STATUS) for rid in range(3)]
+POOL_RULES = [_atomic_rule(label, confidence=0.5 + 0.1 * label[1]) for label in LABEL_POOL]
+SCORING_CFG = PipelineConfig(ws_min=0.1, p_max=4)
+
+# V shape: removing the consequent C leaves A and B as two components
+V_DB = [
+    _window(0, [A, B, C], [(A, C, "cross"), (B, C, "cross")]),
+    _window(1, [A, B, C], [(A, C, "cross")]),
+    _window(2, [A, B], []),
+    _window(3, [A], []),
+]
+
+
+@st.composite
+def window_databases(draw):
+    """1-6 windows of at most 6 nodes with unique labels; arcs only run
+    forward in node order, so every window is acyclic."""
+    graphs = []
+    for index in range(draw(st.integers(1, 6))):
+        labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=1, max_size=6, unique=True))
+        edges = set()
+        for j, v in enumerate(labels):
+            for u in labels[:j]:
+                kind = draw(st.sampled_from([None, "same", "cross"]))
+                if kind:
+                    edges.add((u, v, kind))
+        graphs.append(_window(index, labels, edges))
+    return graphs
+
+
+class TestStructuralConfidences:
+    @settings(max_examples=40, deadline=None)
+    @given(window_databases())
+    def test_equals_reference_on_every_mined_pattern(self, graphs):
+        for p in patterns_stage(SCORING_CFG, graphs, POOL_RULES):
+            assert p.structural_confidence == pattern_confidence(p, graphs, POOL_RULES)
+
+    def test_remainder_split_into_components(self):
+        rules = [_atomic_rule(label) for label in (A, B, C)]
+        (v,) = [p for p in patterns_stage(SCORING_CFG, V_DB, rules) if p.graph.n == 3]
+        assert v.structural_confidence == 1 / 3
+        assert pattern_confidence(v, V_DB, rules) == 1 / 3
+
+    def test_absent_pattern_raises_like_reference(self):
+        rules = [_atomic_rule(label) for label in (A, B, D)]
+        absent = FailurePattern.build(g([A, D], [(0, 1, "cross")]), [1.0, 1.0], 0.5, 0.5)
+        with pytest.raises(ValueError, match="does not occur"):
+            pattern_confidence(absent, V_DB, rules)
+        with pytest.raises(ValueError, match="does not occur"):
+            structural_confidences([absent], V_DB, rules)
+
+    def test_scoring_does_not_rebuild_hosts(self, monkeypatch):
+        calls = {"contains": 0, "digraph": 0}
+        contains, digraph = patterns_module.subgraph_contains, WindowGraph.digraph
+
+        def counting_contains(host, pattern):
+            calls["contains"] += 1
+            return contains(host, pattern)
+
+        def counting_digraph(self):
+            calls["digraph"] += 1
+            return digraph(self)
+
+        monkeypatch.setattr(patterns_module, "subgraph_contains", counting_contains)
+        monkeypatch.setattr(WindowGraph, "digraph", counting_digraph)
+        rules = [_atomic_rule(label) for label in (A, B, C)]
+        assert any(p.graph.n > 1 for p in patterns_stage(SCORING_CFG, V_DB, rules))
+        assert calls["contains"] == 0
+        assert calls["digraph"] <= len(V_DB)
 
 
 class TestDot:
