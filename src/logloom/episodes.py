@@ -4,13 +4,14 @@ Support counts sliding windows: an episode's support is the fraction of
 all windows of width W (on the granularity grid) that contain at least
 one ordered occurrence of its template sequence. Rules are episodes read
 as prefix-implies-last, and instances are the minimal occurrences of a
-rule's full sequence, found in a second pass over the stream.
+rule's full sequence. Support and instances both come from one scan,
+`_occurrences`, so counting costs O(events x length), not O(ticks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ingest import CanonicalEvent, Dimension
 
@@ -71,58 +72,67 @@ def _window_ticks(window: float, granularity: float) -> int:
     return w_ticks
 
 
-class _SupportCounter:
-    """Counts covered windows for label sequences over a fixed stream.
+def _occurrences(
+    seq: Sequence[int], events: Sequence[CanonicalEvent]
+) -> list[tuple[float, float, str]]:
+    """Occurrences of `seq` that raise the latest start, in stream order.
+
+    best[i] is the latest start timestamp of an occurrence of seq[:i]
+    among the events seen so far. Each event that completes `seq` with a
+    later start than any before yields (start, end, node), so starts
+    strictly increase and ends never decrease along the list. Every
+    other occurrence contains one of these: same or later end, same or
+    earlier start.
+    """
+    k = len(seq)
+    if k == 0:
+        raise ValueError("sequence must be non-empty")
+    best = [float("-inf")] * (k + 1)
+    out: list[tuple[float, float, str]] = []
+    for ev in events:
+        for i in range(k, 0, -1):
+            if seq[i - 1] != ev.template:
+                continue
+            cand = ev.ts if i == 1 else best[i - 1]
+            if cand > best[i]:
+                best[i] = cand
+                if i == k:
+                    out.append((cand, ev.ts, ev.node))
+    return out
+
+
+def _support_counter(
+    events: Sequence[CanonicalEvent], window: float, granularity: float
+) -> Callable[[Sequence[int]], float]:
+    """Window support of label sequences over a fixed stream.
 
     Timestamps are quantized to ticks of `granularity` seconds. Windows
     are the half-open tick ranges [t, t + W) for every integer t from
     t_min - W + 1 through t_max, which is exactly the set of windows
-    intersecting the trace; their number is t_max - t_min + W.
+    intersecting the trace; their number is t_max - t_min + W. An
+    occurrence from tick s to tick e lies in exactly the windows whose
+    start is in [e - W + 1, s], so the covered windows are the union of
+    those ranges over `_occurrences`, one running-maximum pass since
+    both ends never decrease.
     """
+    if not events:
+        raise EmptyDimensionError("no events in dimension")
+    w_ticks = _window_ticks(window, granularity)
+    t_min = int(events[0].ts // granularity)
+    total = int(events[-1].ts // granularity) - t_min + w_ticks
 
-    def __init__(self, events: Sequence[CanonicalEvent], window: float, granularity: float):
-        if not events:
-            raise EmptyDimensionError("no events in dimension")
-        self.w_ticks = _window_ticks(window, granularity)
-        self.ticks = [int(ev.ts // granularity) for ev in events]
-        self.labels = [ev.template for ev in events]
-        self.t_min = self.ticks[0]
-        self.t_max = self.ticks[-1]
-        self.total = self.t_max - self.t_min + self.w_ticks
+    def support(seq: Sequence[int]) -> float:
+        covered = 0
+        last = t_min - w_ticks  # highest window start counted so far
+        for s, e, _ in _occurrences(seq, events):
+            hi = int(s // granularity)
+            lo = max(int(e // granularity) - w_ticks + 1, last + 1)
+            if hi >= lo:
+                covered += hi - lo + 1
+                last = hi
+        return covered / total
 
-    def covered(self, seq: Sequence[int]) -> int:
-        """Number of windows containing an ordered occurrence of `seq`.
-
-        One sweep over window starts. best[i] is the latest start tick of
-        an occurrence of seq[:i] among the events admitted so far; events
-        are admitted once their tick fits the current window's right edge.
-        A window [t, t+W) is covered iff best[k] >= t afterwards: ticks
-        never decrease along the stream, so the whole witness occurrence
-        sits inside the window.
-        """
-        k = len(seq)
-        if k == 0:
-            raise ValueError("sequence must be non-empty")
-        best: list[float] = [float("-inf")] * (k + 1)
-        n = len(self.ticks)
-        count = 0
-        p = 0
-        for t in range(self.t_min - self.w_ticks + 1, self.t_max + 1):
-            right = t + self.w_ticks - 1
-            while p < n and self.ticks[p] <= right:
-                tick, label = self.ticks[p], self.labels[p]
-                for i in range(k, 0, -1):
-                    if seq[i - 1] == label:
-                        cand = tick if i == 1 else best[i - 1]
-                        if cand > best[i]:
-                            best[i] = cand
-                p += 1
-            if best[k] >= t:
-                count += 1
-        return count
-
-    def support(self, seq: Sequence[int]) -> float:
-        return self.covered(seq) / self.total
+    return support
 
 
 def count_window_support(
@@ -135,7 +145,7 @@ def count_window_support(
 
     `events` must be one dimension's slice of the canonical stream, sorted.
     """
-    return _SupportCounter(events, window, granularity).support(tuple(labels))
+    return _support_counter(events, window, granularity)(labels)
 
 
 def mine_episodes(
@@ -156,16 +166,16 @@ def mine_episodes(
         raise ValueError("min_sup must be in (0, 1]")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    counter = _SupportCounter(events, window, granularity)
+    support = _support_counter(events, window, granularity)
     dim = events[0].dim
 
     episodes: list[Episode] = []
-    seen = sorted(set(counter.labels))
+    seen = sorted({ev.template for ev in events})
     frequent: list[tuple[int, ...]] = []
     supports: dict[tuple[int, ...], float] = {}
     for label in seen:
         seq = (label,)
-        sup = counter.support(seq)
+        sup = support(seq)
         if sup >= min_sup:
             frequent.append(seq)
             supports[seq] = sup
@@ -177,7 +187,7 @@ def mine_episodes(
         )
         nxt: list[tuple[int, ...]] = []
         for seq in candidates:
-            sup = counter.support(seq)
+            sup = support(seq)
             if sup >= min_sup:
                 nxt.append(seq)
                 supports[seq] = sup
@@ -238,26 +248,8 @@ def find_instances(
     wider than `window` seconds (raw timestamps, inclusive) are dropped.
     The instance's node is the node of the event completing the match.
     """
-    seq = rule.full_labels
-    k = len(seq)
-    best: list[float | None] = [None] * (k + 1)
-    candidates: list[tuple[float, float, str]] = []
-    for ev in events:
-        for i in range(k, 0, -1):
-            if seq[i - 1] != ev.template:
-                continue
-            cand = ev.ts if i == 1 else best[i - 1]
-            if cand is None:
-                continue
-            if best[i] is None or cand > best[i]:
-                best[i] = cand
-                if i == k:
-                    candidates.append((cand, ev.ts, ev.node))
-
     minimal: list[tuple[float, float, str]] = []
-    for s, e, node in candidates:
-        if minimal and minimal[-1][0] == s:
-            continue
+    for s, e, node in _occurrences(rule.full_labels, events):
         if minimal and minimal[-1][1] == e:
             minimal[-1] = (s, e, node)
         else:

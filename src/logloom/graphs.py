@@ -16,6 +16,7 @@ WEIGHT_MODES = ("confidence", "support", "product")
 
 SAME_NODE = "same"
 CROSS_NODE = "cross"
+EDGE_KINDS = (SAME_NODE, CROSS_NODE)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class WindowGraph:
 
     Labels are unique per graph and edges are keyed by the labels they
     join. Edges always point from the earlier anchor to the strictly
-    later one, so the graph is a DAG.
+    later one, so the graph is a DAG, and carry one kind from
+    EDGE_KINDS; no ordered label pair has two edges.
     """
 
     window_index: int
@@ -57,14 +59,25 @@ class WindowGraph:
     edges: frozenset[tuple[Label, Label, str]]
 
     def __post_init__(self) -> None:
-        labels: set[Label] = set()
+        anchors: dict[Label, float] = {}
         for gn in self.nodes:
-            if gn.label in labels:
+            if gn.label in anchors:
                 raise ValueError(f"node label {_name(gn.label)} is not unique")
-            labels.add(gn.label)
-        for u, v, _ in self.edges:
-            if u not in labels or v not in labels:
-                raise ValueError(f"edge {_name(u)} -> {_name(v)} joins a label that is not a node")
+            anchors[gn.label] = gn.anchor
+        pairs: set[tuple[Label, Label]] = set()
+        for u, v, kind in self.edges:
+            if u not in anchors or v not in anchors:
+                fault = "joins a label that is not a node"
+            elif not anchors[u] < anchors[v]:
+                fault = "does not run from an earlier anchor to a later one"
+            elif kind not in EDGE_KINDS:
+                fault = f"has kind {kind!r}, not one of {EDGE_KINDS}"
+            elif (u, v) in pairs:
+                fault = "is not the only edge on its label pair"
+            else:
+                pairs.add((u, v))
+                continue
+            raise ValueError(f"edge {_name(u)} -> {_name(v)} {fault}")
 
     def digraph(self) -> Digraph:
         index = {gn.label: i for i, gn in enumerate(self.nodes)}

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from .episodes import SequenceRule
+from .graphs import EDGE_KINDS
 from .ingest import Dimension, TemplateTable
 from .patterns import (
     DfsCode,
@@ -22,7 +23,6 @@ DOC_VERSION = 1
 Label = tuple[Dimension, int]
 
 NODE_SCOPES = ("any", "same", "cross")
-EDGE_KINDS = ("same", "cross")
 
 
 class SchemaError(Exception):

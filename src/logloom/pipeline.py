@@ -252,20 +252,29 @@ def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
 
 
 def read_events(path: str | Path) -> list[CanonicalEvent]:
+    """Events in stream order; a line sorting before its predecessor is a SchemaError."""
     out: list[CanonicalEvent] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    last: tuple = ()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         raw = json.loads(line)
-        out.append(
-            CanonicalEvent(
-                ts=raw["ts"],
-                node=raw["node"],
-                dim=Dimension(raw["dim"]),
-                template=raw["template"],
-                count=raw.get("count", 1),
-            )
+        ev = CanonicalEvent(
+            ts=raw["ts"],
+            node=raw["node"],
+            dim=Dimension(raw["dim"]),
+            template=raw["template"],
+            count=raw.get("count", 1),
         )
+        key = ev.sort_key
+        if key < last:
+            raise SchemaError(
+                f"{path}: line {line_no}",
+                "event is out of stream order (ts, node, dim, template)",
+            )
+        last = key
+        out.append(ev)
     return out
 
 

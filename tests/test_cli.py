@@ -104,21 +104,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "blacklist" in err and str(blacklist) in err and "line 3" in err
 
-    @pytest.mark.parametrize("fault", ["duplicate_label", "edge_to_missing_label"])
+    @pytest.mark.parametrize("fault", [
+        "duplicate_label", "edge_to_missing_label", "antiparallel", "same_and_cross",
+        "self_loop", "later_to_earlier", "unknown_kind",
+    ])
     def test_invalid_window_graph_is_3(self, workdir, tmp_path, capsys, fault):
         doc = json.loads((workdir / "run" / "graphs.json").read_text())
         graph = doc["graphs"][1]
         first = graph["nodes"][0]
+        d1, r1, d2, r2, kind = graph["edges"][0]
+        other = "same" if kind == "cross" else "cross"
         if fault == "duplicate_label":
             graph["nodes"].append(dict(first))
-        else:
+        elif fault == "edge_to_missing_label":
             graph["edges"].append([first["dim"], first["rule_id"], "ras", 999, "cross"])
+        elif fault == "antiparallel":
+            graph["edges"].append([d2, r2, d1, r1, kind])
+        elif fault == "same_and_cross":
+            graph["edges"].append([d1, r1, d2, r2, other])
+        elif fault == "self_loop":
+            graph["edges"].append([d1, r1, d1, r1, "same"])
+        elif fault == "later_to_earlier":
+            graph["edges"][0] = [d2, r2, d1, r1, kind]
+        else:
+            graph["edges"][0][4] = "bogus"
         bad = tmp_path / "graphs.json"
         bad.write_text(json.dumps(doc))
         assert main([
             "mine-patterns", "--graphs", str(bad),
             "--rules", str(workdir / "run" / "rules.json"), "--out", str(tmp_path / "o")]) == 3
         assert "$.graphs[1]" in capsys.readouterr().err
+
+    def test_out_of_order_events_are_3_and_located(self, workdir, tmp_path, capsys):
+        lines = (workdir / "run" / "events.jsonl").read_text().splitlines(keepends=True)
+        lines[1], lines[2] = lines[2], lines[1]
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(lines))
+        assert main([
+            "mine-rules", "--events", str(events),
+            "--templates", str(workdir / "run" / "templates.tsv"), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(events) in err and "line 3" in err
 
 
 class TestSynth:

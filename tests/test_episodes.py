@@ -19,11 +19,11 @@ from _oracles import brute_episodes, brute_minimal_instances, brute_window_suppo
 from conftest import trace
 
 
-def _random_trace(rng, max_events=50, alphabet=4, span=40):
+def _random_trace(rng, max_events=50, alphabet=4, span=40, tied=False):
+    """Uniform timestamps, or integer ones in a quarter of `span` when `tied`."""
     n = rng.randint(1, max_events)
-    return trace(
-        [(rng.uniform(0, span), rng.randrange(alphabet)) for _ in range(n)]
-    )
+    draw = (lambda: rng.randint(0, span // 4)) if tied else (lambda: rng.uniform(0, span))
+    return trace([(draw(), rng.randrange(alphabet)) for _ in range(n)])
 
 
 class TestWindowSupport:
@@ -71,6 +71,20 @@ class TestWindowSupport:
             assert count_window_support(seq, events, window) == brute_window_support(
                 seq, events, window
             )
+        for case in range(150):
+            events = _random_trace(rng, max_events=25, tied=case % 2 == 0)
+            granularity = rng.choice([0.5, 2, 5])
+            window = granularity * rng.choice([1, 2, 5])
+            seq = [rng.randrange(4) for _ in range(rng.randint(1, 3))]
+            assert count_window_support(seq, events, window, granularity) == (
+                brute_window_support(seq, events, window, granularity)
+            )
+        # Events 10**7 ticks apart, W = 10: 10**7 + 10 windows; each single
+        # event lies in 10 of them, the pair (0 then 5) in 5.
+        events = trace([(0, 0), (5, 1), (10**7, 0)])
+        assert count_window_support([0], events, 10) == 20 / 10_000_010
+        assert count_window_support([0, 1], events, 10) == 5 / 10_000_010
+        assert count_window_support([1, 0], events, 10) == 0.0
 
 
 class TestMineEpisodes:
@@ -204,6 +218,12 @@ class TestFindInstances:
             k = rng.randint(1, 3)
             labels = [rng.randrange(3) for _ in range(k)]
             window = rng.choice([3, 6, 12])
+            got = [i.span for i in find_instances(_rule(labels), events, window)]
+            assert got == brute_minimal_instances(labels, events, window)
+        for _ in range(100):
+            events = _random_trace(rng, max_events=18, alphabet=3, span=25, tied=True)
+            labels = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
+            window = rng.choice([1, 3, 6])
             got = [i.span for i in find_instances(_rule(labels), events, window)]
             assert got == brute_minimal_instances(labels, events, window)
 
