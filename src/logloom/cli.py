@@ -129,8 +129,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _cmd_mine_rules(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    events = read_events(args.events)
     table = TemplateTable.load(args.templates)
+    events = read_events(args.events, table)
     rules, instances = mine_rules_stage(cfg, events)
     out = _out_dir(args)
     (out / "rules.json").write_text(export(rules_doc(rules, table, cfg)), encoding="utf-8")

@@ -86,9 +86,6 @@ class WindowGraph:
             edges=frozenset((index[u], index[v], el) for u, v, el in self.edges),
         )
 
-    def weights(self) -> tuple[float, ...]:
-        return tuple(gn.weight for gn in self.nodes)
-
 
 def _name(label: Label) -> str:
     return f"{label[0].value}:{label[1]}"

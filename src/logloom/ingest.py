@@ -174,8 +174,8 @@ class TemplateTable:
             tid_str, sep, payload = line.partition("\t")
             if not sep:
                 raise ParseError(f"template file line {line_no}: missing tab")
-            if int(tid_str) != len(table._masked):
-                raise ParseError(f"template file line {line_no}: ids must be contiguous")
+            if tid_str != str(len(table)):
+                raise ParseError(f"template file line {line_no}: {tid_str!r} is not id {len(table)}")
             table.id_for(_unescape(payload))
         return table
 
@@ -319,9 +319,11 @@ def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[Log
     msg = obj["msg"]
     if not isinstance(msg, str):
         return None, "msg must be a string"
-    dim: Dimension | None
+    dim: Dimension
     raw_dim = obj.get("dim")
     if raw_dim is None or raw_dim == "":
+        if dim_default is None:
+            return None, "record has no dimension"
         dim = dim_default
     else:
         try:

@@ -43,6 +43,7 @@ from .patterns import (
     structural_confidences,
 )
 from .preprocess import CoalescePolicy, NoisePolicy, NoiseReport, coalesce, filter_noise
+from .synth import write_jsonl
 
 
 class ConfigError(Exception):
@@ -233,33 +234,46 @@ def load_blacklist(path: str | Path) -> frozenset[int]:
 # interchange files
 
 
-def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "ts": ev.ts,
-                        "node": ev.node,
-                        "dim": ev.dim.value,
-                        "template": ev.template,
-                        "count": ev.count,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+def _read_records(path: str | Path, build) -> list:
+    """`build` applied to each non-blank JSON line of `path`, in order.
 
-
-def read_events(path: str | Path) -> list[CanonicalEvent]:
-    """Events in stream order; a line sorting before its predecessor is a SchemaError."""
-    out: list[CanonicalEvent] = []
-    last: tuple = ()
+    A line that is not JSON, or that `build` fails on with a KeyError,
+    TypeError or ValueError, is a SchemaError naming the file and line.
+    """
+    out = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        raw = json.loads(line)
+        try:
+            out.append(build(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: line {line_no}", _fault(exc)) from None
+    return out
+
+
+def _fault(exc: Exception) -> str:
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return f"not JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+
+
+def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
+    rows = (
+        {"ts": ev.ts, "node": ev.node, "dim": ev.dim.value,
+         "template": ev.template, "count": ev.count}
+        for ev in events
+    )
+    write_jsonl(rows, path)
+
+
+def read_events(path: str | Path, templates: TemplateTable | None = None) -> list[CanonicalEvent]:
+    """Events in stream order; a line sorting before its predecessor, or
+    naming a template id outside `templates` when given, is a SchemaError."""
+    last: tuple = ()
+
+    def build(raw: dict) -> CanonicalEvent:
+        nonlocal last
         ev = CanonicalEvent(
             ts=raw["ts"],
             node=raw["node"],
@@ -269,13 +283,13 @@ def read_events(path: str | Path) -> list[CanonicalEvent]:
         )
         key = ev.sort_key
         if key < last:
-            raise SchemaError(
-                f"{path}: line {line_no}",
-                "event is out of stream order (ts, node, dim, template)",
-            )
+            raise ValueError("event is out of stream order (ts, node, dim, template)")
+        if templates is not None and not 0 <= ev.template < len(templates):
+            raise ValueError(f"template {ev.template} is not in the templates file")
         last = key
-        out.append(ev)
-    return out
+        return ev
+
+    return _read_records(path, build)
 
 
 def write_rejects(rejects: Sequence[RejectEntry], path: str | Path) -> None:
@@ -298,39 +312,22 @@ def read_rules_doc(path: str | Path) -> KnowledgeBase:
 
 
 def write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(
-                json.dumps(
-                    {
-                        "rule_id": inst.rule_id,
-                        "dim": inst.dim.value,
-                        "anchor": inst.anchor,
-                        "span": list(inst.span),
-                        "node": inst.node,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    rows = (
+        {"rule_id": inst.rule_id, "dim": inst.dim.value, "anchor": inst.anchor,
+         "span": list(inst.span), "node": inst.node}
+        for inst in instances
+    )
+    write_jsonl(rows, path)
 
 
 def read_instances(path: str | Path) -> list[RuleInstance]:
-    out: list[RuleInstance] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        out.append(
-            RuleInstance(
-                rule_id=raw["rule_id"],
-                dim=Dimension(raw["dim"]),
-                anchor=raw["anchor"],
-                span=(raw["span"][0], raw["span"][1]),
-                node=raw["node"],
-            )
-        )
-    return out
+    return _read_records(path, lambda raw: RuleInstance(
+        rule_id=raw["rule_id"],
+        dim=Dimension(raw["dim"]),
+        anchor=raw["anchor"],
+        span=(raw["span"][0], raw["span"][1]),
+        node=raw["node"],
+    ))
 
 
 def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
@@ -363,26 +360,33 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
 
 
 def read_graphs(path: str | Path) -> list[WindowGraph]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Window graphs; a window that does not make a WindowGraph is a
+    SchemaError at `$.graphs[i]`."""
+    try:
+        windows = json.loads(Path(path).read_text(encoding="utf-8"))["graphs"]
+    except (KeyError, TypeError, ValueError):
+        windows = None
+    if not isinstance(windows, list):
+        raise SchemaError("$.graphs", f"{path} is not a JSON object with a graphs array")
     out: list[WindowGraph] = []
-    for i, raw in enumerate(doc["graphs"]):
-        nodes = tuple(
-            GraphNode(
-                label=(Dimension(n["dim"]), n["rule_id"]),
-                weight=n["weight"],
-                anchor=n["anchor"],
-                node=n["node"],
-            )
-            for n in raw["nodes"]
-        )
-        edges = frozenset(
-            ((Dimension(d1), r1), (Dimension(d2), r2), kind)
-            for d1, r1, d2, r2, kind in raw["edges"]
-        )
+    for i, raw in enumerate(windows):
         try:
+            nodes = tuple(
+                GraphNode(
+                    label=(Dimension(n["dim"]), n["rule_id"]),
+                    weight=n["weight"],
+                    anchor=n["anchor"],
+                    node=n["node"],
+                )
+                for n in raw["nodes"]
+            )
+            edges = frozenset(
+                ((Dimension(d1), r1), (Dimension(d2), r2), kind)
+                for d1, r1, d2, r2, kind in raw["edges"]
+            )
             out.append(WindowGraph(raw["window_index"], nodes, edges))
-        except ValueError as exc:
-            raise SchemaError(f"$.graphs[{i}]", str(exc)) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"$.graphs[{i}]", f"{path}: {_fault(exc)}") from None
     return out
 
 

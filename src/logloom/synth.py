@@ -247,10 +247,3 @@ def write_jsonl(rows: Iterable[Mapping[str, Any]], path: str | Path) -> None:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
-
-def read_jsonl(path: str | Path) -> list[dict]:
-    out: list[dict] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out

@@ -53,6 +53,16 @@ class TestExitCodes:
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "out")]) == 2
         assert "rejected" in capsys.readouterr().err
 
+    def test_majority_dimensionless_is_2(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"ts": 1, "node": "a", "msg": "x"}\n'
+            '{"ts": 2, "node": "a", "msg": "y"}\n'
+            '{"ts": 3, "node": "a", "dim": "event", "msg": "z"}\n'
+        )
+        assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "out")]) == 2
+        assert "rejected 2 of 3" in capsys.readouterr().err
+
     def test_unknown_config_key_is_3_and_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"wnidow": 120}')
@@ -145,6 +155,55 @@ class TestExitCodes:
             "--templates", str(workdir / "run" / "templates.tsv"), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert str(events) in err and "line 3" in err
+
+    @pytest.mark.parametrize("name, edit, where", [
+        pytest.param("events.jsonl", lambda row: "{not json", None, id="events-not_json"),
+        pytest.param("events.jsonl", lambda row: _without(row, "node"), None, id="events-no_node"),
+        pytest.param("events.jsonl", lambda row: {**row, "count": 0}, None, id="events-count_0"),
+        pytest.param("events.jsonl", lambda row: {**row, "dim": "disk"}, None,
+                     id="events-unknown_dim"),
+        pytest.param("events.jsonl", lambda row: {**row, "template": 999}, None,
+                     id="events-unknown_template"),
+        pytest.param("instances.jsonl", lambda row: _without(row, "dim"), None,
+                     id="instances-no_dim"),
+        pytest.param("graphs.json", lambda doc: {"graphs": [_without(doc["graphs"][0], "nodes")]},
+                     "$.graphs[0]", id="graphs-window_without_nodes"),
+        pytest.param("graphs.json", lambda doc: "{not json", "$.graphs", id="graphs-not_json"),
+        pytest.param("graphs.json", lambda doc: doc["graphs"], "$.graphs", id="graphs-array"),
+        pytest.param("graphs.json", lambda doc: {"graphs": 5}, "$.graphs", id="graphs-not_array"),
+    ])
+    def test_malformed_interchange_record_is_3_and_located(
+        self, workdir, tmp_path, capsys, name, edit, where
+    ):
+        """A jsonl file gets its last line edited and must be named with
+        that line; graphs.json is edited whole and named at `where`."""
+        run = workdir / "run"
+        bad = tmp_path / name
+        if where:
+            bad.write_text(_text(edit(json.loads((run / name).read_text()))))
+        else:
+            lines = (run / name).read_text().splitlines()
+            lines[-1] = _text(edit(json.loads(lines[-1])))
+            bad.write_text("\n".join(lines) + "\n")
+            where = f"line {len(lines)}"
+        rules = str(run / "rules.json")
+        argv = {
+            "events.jsonl": ["mine-rules", "--events", str(bad),
+                             "--templates", str(run / "templates.tsv")],
+            "instances.jsonl": ["build-graphs", "--instances", str(bad), "--rules", rules],
+            "graphs.json": ["mine-patterns", "--graphs", str(bad), "--rules", rules],
+        }[name]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and where in err
+
+
+def _text(doc) -> str:
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+def _without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
 
 
 class TestSynth:

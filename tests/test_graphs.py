@@ -116,7 +116,7 @@ class TestBuildWindowGraphs:
         cfg = GraphConfig(weight_mode="support")
         (g,) = build_window_graphs([_inst(0, 0)], RULES, cfg)
         assert g.nodes[0].weight == 0.5
-        assert g.weights() == (0.5,)
+        assert tuple(gn.weight for gn in g.nodes) == (0.5,)
 
     def test_output_sorted_and_deterministic_under_permutation(self):
         cfg = GraphConfig(corr_window=100, max_lag=80)

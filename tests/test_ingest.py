@@ -96,6 +96,12 @@ class TestTemplateTable:
         with pytest.raises(ParseError):
             TemplateTable.load(path)
 
+    def test_load_rejects_non_integer_id(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\tfoo\nx\tbar\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2"):
+            TemplateTable.load(path)
+
     def test_from_rows_requires_contiguity(self):
         with pytest.raises(ValueError):
             TemplateTable.from_rows([(1, "foo")])
@@ -135,6 +141,7 @@ class TestParseJsonl:
             ('{"ts": 1, "node": "", "msg": "x"}', "non-empty"),
             ('{"ts": 1, "node": "a", "msg": 5}', "msg must be a string"),
             ('{"ts": 1, "node": "a", "msg": "x", "dim": "weird"}', "unknown dimension"),
+            ('{"ts": 1, "node": "a", "msg": "x"}', "record has no dimension"),
         ],
     )
     def test_bad_lines_rejected_with_reason(self, line, reason_part):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from logloom import (
@@ -11,7 +13,7 @@ from logloom import (
     load_scenario,
     scenario_from_dict,
 )
-from logloom.synth import read_jsonl, write_jsonl
+from logloom.synth import write_jsonl
 
 
 def _spec(**overrides):
@@ -195,6 +197,6 @@ class TestJsonl:
         rows = [{"b": 2, "a": 1}, {"x": "y"}]
         path = tmp_path / "rows.jsonl"
         write_jsonl(rows, path)
-        assert read_jsonl(path) == rows
+        assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == rows
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == '{"a": 1, "b": 2}'
