@@ -141,9 +141,9 @@ def _cmd_mine_rules(args: argparse.Namespace) -> int:
 
 def _cmd_build_graphs(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    instances = read_instances(args.instances)
-    doc = read_rules_doc(args.rules)
-    graphs = graphs_stage(cfg, instances, list(doc.rules.values()))
+    rules = list(read_rules_doc(args.rules).rules.values())
+    instances = read_instances(args.instances, rules)
+    graphs = graphs_stage(cfg, instances, rules)
     out = _out_dir(args)
     write_graphs(graphs, out / "graphs.json")
     if args.dot:

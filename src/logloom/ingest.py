@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import json.scanner
 import math
 import re
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ class Dimension(Enum):
     """Source dimension of a log record.
 
     Ordering follows declaration order, not alphabetical order; every
-    sort key in the package relies on that.
+    sort key in the package relies on that. Each member carries its
+    position as `rank`. Members are singletons, so they hash by identity.
     """
 
     EVENT = "event"
@@ -26,9 +28,8 @@ class Dimension(Enum):
     COMM = "comm"
     RAS = "ras"
 
-    @property
-    def rank(self) -> int:
-        return _DIM_RANK[self]
+    rank: int
+    __hash__ = object.__hash__
 
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Dimension):
@@ -39,10 +40,24 @@ class Dimension(Enum):
         return self.value
 
 
-_DIM_RANK = {d: i for i, d in enumerate(Dimension)}
+for _rank, _dim in enumerate(Dimension):
+    _dim.rank = _rank
+del _rank, _dim
+
+_DIM_BY_VALUE = {d.value: d for d in Dimension}
 
 
-@dataclass(frozen=True)
+def dimension(value: object) -> Dimension:
+    """`Dimension(value)`, by a dict lookup when `value` names a member.
+
+    Any other value goes to `Dimension(value)`, so it fails with the
+    same ValueError.
+    """
+    dim = _DIM_BY_VALUE.get(value) if type(value) is str else None
+    return Dimension(value) if dim is None else dim
+
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One raw log line: timestamp, emitting node, optional dimension, message."""
 
@@ -58,7 +73,7 @@ class LogRecord:
             raise ValueError("node must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalEvent:
     """A record after template extraction; `count` tracks coalesced repeats."""
 
@@ -101,9 +116,17 @@ class ParseError(Exception):
 # Masking rules, applied in this order. HEX runs before NUM, so any
 # word-bounded token of four or more hex digits is masked <HEX> even when
 # it happens to be pure decimal.
-_IP_RE = re.compile(r"(?<!\d)\d{1,3}(?:\.\d{1,3}){3}(?!\d)")
-_HEX_RE = re.compile(r"\b(?:0[xX][0-9a-fA-F]{4,}|[0-9a-fA-F]{4,})\b")
-_PATH_RE = re.compile(r"(?<!\S)/\S*")
+#
+# Each pattern starts with a character class and checks the character
+# before the match in a lookbehind just after that class, so the regex
+# engine scans ahead to candidate characters instead of trying a match at
+# every position. The plainer spelling, with each lookbehind first, masks
+# the same; the tests compare the two chains.
+_IP_RE = re.compile(r"\d(?<!\d\d)\d{0,2}(?:\.\d{1,3}){3}(?!\d)")
+_HEX_RE = re.compile(
+    r"[0-9a-fA-F](?<!\w[0-9a-fA-F])(?:(?<=0)[xX][0-9a-fA-F]{4,}\b|[0-9a-fA-F]{3,}\b)"
+)
+_PATH_RE = re.compile(r"/(?<!\S/)\S*")
 _NUM_RE = re.compile(r"\d+")
 
 EMPTY_TEMPLATE = "<EMPTY>"
@@ -244,6 +267,25 @@ def _decode_lines(stream: IO[str] | IO[bytes] | Iterable[str]) -> Iterator[tuple
             yield line_no, line
 
 
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def decode_json_line(text: str) -> object:
+    """The value of the JSON text `text`, exactly as `json.loads(text)`.
+
+    The common line, one JSON value with nothing around it, goes straight
+    to the JSON scanner. A line the scanner does not consume whole, such
+    as one with surrounding whitespace, a byte-order mark, extra data or
+    a syntax error, goes to `json.loads`, so results and error messages
+    are its own.
+    """
+    try:
+        value, end = _scan_json(text, 0)
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
+
+
 def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
     records: list[LogRecord] = []
     rejects: list[RejectEntry] = []
@@ -255,7 +297,7 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
         if not text:
             continue
         try:
-            obj = json.loads(text)
+            obj = decode_json_line(text)
         except json.JSONDecodeError as exc:
             rejects.append(RejectEntry(line_no, f"invalid JSON: {exc.msg}", text))
             continue
@@ -327,7 +369,7 @@ def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[Log
         dim = dim_default
     else:
         try:
-            dim = Dimension(raw_dim)
+            dim = dimension(raw_dim)
         except ValueError:
             return None, f"unknown dimension: {raw_dim!r}"
     return LogRecord(float(ts), node, dim, msg), ""

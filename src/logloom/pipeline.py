@@ -32,6 +32,8 @@ from .ingest import (
     RejectEntry,
     TemplateTable,
     canonicalize,
+    decode_json_line,
+    dimension,
     parse_lines,
 )
 from .knowledge import KnowledgeBase, MergeReport, SchemaError, export, load, merge
@@ -246,7 +248,7 @@ def _read_records(path: str | Path, build) -> list:
         if not line.strip():
             continue
         try:
-            out.append(build(json.loads(line)))
+            out.append(build(decode_json_line(line)))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: line {line_no}", _fault(exc)) from None
     return out
@@ -267,6 +269,27 @@ def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
     write_jsonl(rows, path)
 
 
+def _number(value: Any, key: str) -> float:
+    """`value` if it is a finite JSON number; a bool is not one."""
+    kind = type(value)
+    if kind is not int and (kind is not float or not math.isfinite(value)):
+        raise ValueError(f"{key} must be a finite number")
+    return value
+
+
+def _typed(value: Any, key: str, kind: type, what: str) -> Any:
+    """`value` if its JSON type is exactly `kind`, so a bool is no int."""
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {what}")
+    return value
+
+
+def _span(value: Any) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError("span must be a pair of finite numbers")
+    return (_number(value[0], "span"), _number(value[1], "span"))
+
+
 def read_events(path: str | Path, templates: TemplateTable | None = None) -> list[CanonicalEvent]:
     """Events in stream order; a line sorting before its predecessor, or
     naming a template id outside `templates` when given, is a SchemaError."""
@@ -275,11 +298,11 @@ def read_events(path: str | Path, templates: TemplateTable | None = None) -> lis
     def build(raw: dict) -> CanonicalEvent:
         nonlocal last
         ev = CanonicalEvent(
-            ts=raw["ts"],
-            node=raw["node"],
-            dim=Dimension(raw["dim"]),
-            template=raw["template"],
-            count=raw.get("count", 1),
+            ts=_number(raw["ts"], "ts"),
+            node=_typed(raw["node"], "node", str, "a string"),
+            dim=dimension(raw["dim"]),
+            template=_typed(raw["template"], "template", int, "an integer"),
+            count=_typed(raw.get("count", 1), "count", int, "an integer"),
         )
         key = ev.sort_key
         if key < last:
@@ -320,14 +343,28 @@ def write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None
     write_jsonl(rows, path)
 
 
-def read_instances(path: str | Path) -> list[RuleInstance]:
-    return _read_records(path, lambda raw: RuleInstance(
-        rule_id=raw["rule_id"],
-        dim=Dimension(raw["dim"]),
-        anchor=raw["anchor"],
-        span=(raw["span"][0], raw["span"][1]),
-        node=raw["node"],
-    ))
+def read_instances(
+    path: str | Path, rules: Iterable[SequenceRule] | None = None
+) -> list[RuleInstance]:
+    """Rule instances; a line whose rule label is not among `rules`, when
+    given, is a SchemaError."""
+    labels = None if rules is None else {r.label for r in rules}
+
+    def build(raw: dict) -> RuleInstance:
+        inst = RuleInstance(
+            rule_id=_typed(raw["rule_id"], "rule_id", int, "an integer"),
+            dim=dimension(raw["dim"]),
+            anchor=_number(raw["anchor"], "anchor"),
+            span=_span(raw["span"]),
+            node=_typed(raw["node"], "node", str, "a string"),
+        )
+        if labels is not None and (inst.dim, inst.rule_id) not in labels:
+            raise ValueError(
+                f"rule {inst.dim.value}:{inst.rule_id} is not in the rules file"
+            )
+        return inst
+
+    return _read_records(path, build)
 
 
 def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
@@ -373,7 +410,7 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
         try:
             nodes = tuple(
                 GraphNode(
-                    label=(Dimension(n["dim"]), n["rule_id"]),
+                    label=(dimension(n["dim"]), n["rule_id"]),
                     weight=n["weight"],
                     anchor=n["anchor"],
                     node=n["node"],
@@ -381,7 +418,7 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
                 for n in raw["nodes"]
             )
             edges = frozenset(
-                ((Dimension(d1), r1), (Dimension(d2), r2), kind)
+                ((dimension(d1), r1), (dimension(d2), r2), kind)
                 for d1, r1, d2, r2, kind in raw["edges"]
             )
             out.append(WindowGraph(raw["window_index"], nodes, edges))

@@ -3,15 +3,36 @@
 Everything here favors obviousness over speed: supports are counted by
 materializing every window, canonical codes by enumerating every DFS
 traversal, containment by trying every injective vertex mapping.
+Messages are masked by the four regex passes as first written.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from statistics import fmean
 from typing import Sequence
 
 from logloom import CanonicalEvent, Digraph
+
+
+# The masking chain as first written: each pattern opens with its
+# lookbehind. logloom.ingest spells the same patterns for speed.
+_IP_RE = re.compile(r"(?<!\d)\d{1,3}(?:\.\d{1,3}){3}(?!\d)")
+_HEX_RE = re.compile(r"\b(?:0[xX][0-9a-fA-F]{4,}|[0-9a-fA-F]{4,})\b")
+_PATH_RE = re.compile(r"(?<!\S)/\S*")
+_NUM_RE = re.compile(r"\d+")
+
+
+def reference_mask(msg: str) -> str:
+    """IP, HEX, PATH and NUM masks, applied in that order."""
+    if msg == "":
+        return "<EMPTY>"
+    masked = _IP_RE.sub("<IP>", msg)
+    masked = _HEX_RE.sub("<HEX>", masked)
+    masked = _PATH_RE.sub("<PATH>", masked)
+    masked = _NUM_RE.sub("<NUM>", masked)
+    return masked
 
 
 def _is_subsequence(needle: Sequence[int], hay: Sequence[int]) -> bool:

@@ -1,12 +1,20 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import logloom
 from logloom import ConfigError, PipelineConfig, config_digest
 from logloom.cli import main
+
+# Every file of a run that is a byte-exact function of the log and the knobs.
+INTERCHANGE = ("templates.tsv", "rejects.txt", "events.jsonl", "rules.json",
+               "instances.jsonl", "graphs.json", "kb.json")
 
 SCENARIO = {
     "duration": 1800,
@@ -164,8 +172,24 @@ class TestExitCodes:
                      id="events-unknown_dim"),
         pytest.param("events.jsonl", lambda row: {**row, "template": 999}, None,
                      id="events-unknown_template"),
+        pytest.param("events.jsonl", lambda row: {**row, "ts": "x"}, "line 1",
+                     id="events-string_ts"),
+        pytest.param("events.jsonl", lambda row: {**row, "ts": float("nan")}, "line 1",
+                     id="events-nan_ts"),
+        pytest.param("events.jsonl", lambda row: {**row, "template": True}, None,
+                     id="events-bool_template"),
+        pytest.param("events.jsonl", lambda row: {**row, "node": 5}, "line 1",
+                     id="events-number_node"),
         pytest.param("instances.jsonl", lambda row: _without(row, "dim"), None,
                      id="instances-no_dim"),
+        pytest.param("instances.jsonl", lambda row: {**row, "anchor": "x"}, "line 1",
+                     id="instances-string_anchor"),
+        pytest.param("instances.jsonl", lambda row: {**row, "span": [0.0]}, None,
+                     id="instances-short_span"),
+        pytest.param("instances.jsonl", lambda row: {**row, "rule_id": 1.5}, None,
+                     id="instances-float_rule_id"),
+        pytest.param("instances.jsonl", lambda row: {**row, "rule_id": 777}, None,
+                     id="instances-unknown_rule"),
         pytest.param("graphs.json", lambda doc: {"graphs": [_without(doc["graphs"][0], "nodes")]},
                      "$.graphs[0]", id="graphs-window_without_nodes"),
         pytest.param("graphs.json", lambda doc: "{not json", "$.graphs", id="graphs-not_json"),
@@ -176,13 +200,17 @@ class TestExitCodes:
         self, workdir, tmp_path, capsys, name, edit, where
     ):
         """A jsonl file gets its last line edited and must be named with
-        that line; graphs.json is edited whole and named at `where`."""
+        that line; with `where` "line 1" the file is cut to that one line,
+        which no neighbour's order check can catch. graphs.json is edited
+        whole and named at `where`."""
         run = workdir / "run"
         bad = tmp_path / name
-        if where:
+        if where and where.startswith("$"):
             bad.write_text(_text(edit(json.loads((run / name).read_text()))))
         else:
             lines = (run / name).read_text().splitlines()
+            if where == "line 1":
+                lines = lines[:1]
             lines[-1] = _text(edit(json.loads(lines[-1])))
             bad.write_text("\n".join(lines) + "\n")
             where = f"line {len(lines)}"
@@ -240,6 +268,24 @@ class TestPipeline:
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "again")]) == 0
         for name in ["events.jsonl", "rules.json", "graphs.json", "kb.json"]:
             assert (tmp_path / "again" / name).read_bytes() == (workdir / "run" / name).read_bytes()
+
+
+class TestDeterminism:
+    def test_outputs_do_not_depend_on_hash_seed(self, workdir, tmp_path):
+        """Each interchange file is the same under three string-hash seeds,
+        so no output follows the iteration order of a set or dict."""
+        src = Path(logloom.__file__).resolve().parents[1]
+        log = workdir / "data" / "log.jsonl"
+        expected = {name: (workdir / "run" / name).read_bytes() for name in INTERCHANGE}
+        for seed in ("0", "1", "random"):
+            out = tmp_path / seed
+            path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "logloom.cli", "pipeline", "--input", str(log), "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                check=True, capture_output=True, timeout=120,
+            )
+            assert {name: (out / name).read_bytes() for name in INTERCHANGE} == expected, seed
 
 
 class TestComposability:

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from _oracles import reference_mask
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,12 +11,28 @@ from logloom import (
     Dimension,
     LogRecord,
     ParseError,
+    SchemaError,
     TemplateTable,
     canonicalize,
     extract_template,
     mask_message,
     parse_lines,
 )
+from logloom.ingest import decode_json_line
+from logloom.pipeline import read_events
+
+# Messages built from pieces at the edges of the four masks: hex runs
+# with and without a 0x prefix, dotted quads, path starts, placeholder
+# brackets, whitespace, a non-ASCII letter and a non-ASCII digit.
+_MASK_PIECES = st.one_of(
+    st.sampled_from(list("0123456789abcdefABCDEFxXgG./_<> \t") + ["é", "٣"]),
+    st.tuples(
+        st.sampled_from(["", "0", "0x", "0X"]),
+        st.text("0123456789abcdefABCDEF٣", min_size=1, max_size=7),
+    ).map("".join),
+    st.sampled_from(["1.2.3.4", "255.255.0.10", "1.2.3", "/var/run", " /", "decade"]),
+)
+_MASK_MESSAGES = st.lists(_MASK_PIECES, max_size=12).map("".join)
 
 
 class TestDimension:
@@ -63,6 +80,26 @@ class TestMasking:
         once = mask_message(msg)
         assert mask_message(once) == once
 
+    @pytest.mark.parametrize(
+        "msg,expected",
+        [
+            ("1.2.3.4abcd", "<IP><HEX>"),
+            ("0x12345", "<HEX>"),
+            ("a/b /c", "a/b <PATH>"),
+            ("a decade ago", "a <HEX> ago"),  # letter-only hex runs are masked too
+        ],
+    )
+    def test_mask_edges(self, msg, expected):
+        assert mask_message(msg) == expected == reference_mask(msg)
+
+    @given(_MASK_MESSAGES)
+    def test_equals_reference_chain_on_mask_edges(self, msg):
+        assert mask_message(msg) == reference_mask(msg)
+
+    @given(st.text(max_size=200))
+    def test_equals_reference_chain(self, msg):
+        assert mask_message(msg) == reference_mask(msg)
+
 
 class TestTemplateTable:
     def test_first_seen_contiguous_ids(self):
@@ -105,6 +142,63 @@ class TestTemplateTable:
     def test_from_rows_requires_contiguity(self):
         with pytest.raises(ValueError):
             TemplateTable.from_rows([(1, "foo")])
+
+
+class TestDecodeJsonLine:
+    """decode_json_line gives json.loads' value, or its exact error."""
+
+    VALUES = ["[1]", "NaN", ' {"a": 1}', "{}"]
+    ERRORS = ["\ufeff{}", "{} x", '{"a": "unterminated']
+
+    @staticmethod
+    def _same_as_loads(text):
+        try:
+            expected = json.loads(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(json.JSONDecodeError) as got:
+                decode_json_line(text)
+            assert str(got.value) == str(exc)
+            return
+        value = decode_json_line(text)
+        assert type(value) is type(expected)
+        assert json.dumps(value) == json.dumps(expected)  # NaN != NaN, its text is equal
+
+    @pytest.mark.parametrize("text", VALUES + ERRORS)
+    def test_matches_json_loads(self, text):
+        self._same_as_loads(text)
+
+    @pytest.mark.parametrize("text", ERRORS)
+    def test_reject_reason_is_json_error_text(self, text):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        good = '{"ts": 1, "node": "a", "dim": "event", "msg": "x"}'
+        result = parse_lines(io.StringIO("\n".join([good, text, good])))
+        assert [r.reason for r in result.rejects] == [f"invalid JSON: {exc.value.msg}"]
+
+    @pytest.mark.parametrize("text", ERRORS)
+    def test_interchange_error_is_json_error_text(self, tmp_path, text):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        path = tmp_path / "events.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_events(path)
+        assert str(err.value) == f"{path}: line 1: not JSON: {exc.value.msg}"
+
+    @given(
+        st.sampled_from(["", " ", "\t", "\ufeff", "x", "[", "\""]),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=8,
+        ).map(json.dumps),
+        st.sampled_from(["", " ", "\t", "x", "]", "}", ",", "1"]),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_matches_json_loads_on_framed_values(self, prefix, body, suffix, cut):
+        """A JSON value with text around it, or with its end cut off."""
+        self._same_as_loads(prefix + body[: len(body) - cut] + suffix)
 
 
 def _jsonl(*objs):
