@@ -298,8 +298,11 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
             continue
         try:
             obj = decode_json_line(text)
-        except json.JSONDecodeError as exc:
-            rejects.append(RejectEntry(line_no, f"invalid JSON: {exc.msg}", text))
+        except (ValueError, RecursionError) as exc:
+            # besides a JSONDecodeError, an integer literal past the digit
+            # limit or nesting past the recursion limit
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            rejects.append(RejectEntry(line_no, f"invalid JSON: {msg}", text))
             continue
         record, reason = _record_from_fields(obj, dim_default)
         if record is None:

@@ -13,8 +13,9 @@ which the rightmost-extension search depends on.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 CodeEntry = tuple
 DfsCode = tuple
@@ -197,18 +198,7 @@ def min_dfs_code(g: Digraph) -> DfsCode:
     return _min_code_with_order(g)[0]
 
 
-def _code_labels(code: DfsCode) -> list[Hashable]:
-    if len(code) == 1 and code[0][0] == code[0][1]:
-        return [code[0][2]]
-    labels: dict[int, Hashable] = {}
-    for i, j, li, _, _, lj in code:
-        labels.setdefault(i, li)
-        labels.setdefault(j, lj)
-    return [labels[k] for k in range(len(labels))]
-
-
-def _code_to_graph(code: DfsCode) -> Digraph:
-    labels = _code_labels(code)
+def _code_to_graph(code: DfsCode, labels: Sequence[Hashable]) -> Digraph:
     edges: set[tuple[int, int, Hashable]] = set()
     for i, j, _, d, el, _ in code:
         if i == j:
@@ -217,8 +207,52 @@ def _code_to_graph(code: DfsCode) -> Digraph:
     return Digraph(tuple(labels), frozenset(edges))
 
 
-def _is_min_code(code: DfsCode) -> bool:
-    return min_dfs_code(_code_to_graph(code)) == code
+def _is_min_code(code: DfsCode, labels: Sequence[Hashable]) -> bool:
+    """Whether `code`, which has at least one arc and vertex labels
+    `labels`, is the minimum DFS code of the graph it spells.
+
+    A code with repeated labels goes through `min_dfs_code`. With distinct
+    labels, every step of the lockstep search has one winner, so the
+    minimum code is the one greedy traversal that starts at the least
+    label and takes the `_step_key`-least extension at each step. While
+    the code agrees with that traversal, discovery indices are the code's
+    own vertex indices, so the traversal is replayed on the code itself
+    and stops at the first entry that differs.
+    """
+    if len(set(labels)) < len(labels):
+        return min_dfs_code(_code_to_graph(code, labels)) == code
+    if labels[0] != min(labels):
+        return False
+    adj: list[list[tuple[int, int, Hashable]]] = [[] for _ in labels]
+    for i, j, _, d, el, _ in code:
+        adj[i].append((j, d, el))
+        adj[j].append((i, 1 - d, el))
+    used: set[tuple[int, int]] = set()
+    rmpath = [0]
+    for entry in code:
+        r = rmpath[-1]
+        backward = [(w, d, el) for w, d, el in adj[r] if w < r and (w, r) not in used]
+        if backward:
+            w, d, el = min(backward)
+            if entry != (r, w, labels[r], d, el, labels[w]):
+                return False
+            used.add((w, r))
+            continue
+        # the deepest rightmost-path vertex with an undiscovered neighbor
+        for depth in range(len(rmpath) - 1, -1, -1):
+            x = rmpath[depth]
+            forward = [(d, el, labels[w]) for w, d, el in adj[x] if w > r]
+            if forward:
+                break
+        else:
+            return False
+        d, el, lw = min(forward)
+        if entry != (x, r + 1, labels[x], d, el, lw):
+            return False
+        used.add((x, r + 1))
+        del rmpath[depth + 1 :]
+        rmpath.append(r + 1)
+    return True
 
 
 def _rmpath_indices(code: DfsCode) -> list[int]:
@@ -384,11 +418,49 @@ class FailurePattern:
         )
 
 
-@dataclass(frozen=True)
-class _Embedding:
+class _Embedding(NamedTuple):
     gid: int
     vmap: tuple[int, ...]
     used: frozenset[tuple[int, int]]
+
+
+def _frequent_hosts(graphs: Sequence, ws_min: float) -> list[Digraph]:
+    """Each host as a Digraph holding only the arcs that can be frequent.
+
+    An arc is kept when its label triple (label_u, label_v, edge_label)
+    occurs in at least a `ws_min` share of the hosts. Each arc of a
+    pattern maps to a host arc with the same triple, so every arc of a
+    pattern with support >= ws_min has a kept triple, and every embedding
+    of such a pattern survives. Every vertex is kept. A window graph's
+    edges are already label triples, so it is read straight from them.
+    """
+
+    def triples(g) -> Iterable[tuple]:
+        if isinstance(g, Digraph):
+            return {(g.labels[u], g.labels[v], el) for u, v, el in g.edges}
+        return g.edges
+
+    hosts_with: Counter[tuple] = Counter()
+    for g in graphs:
+        hosts_with.update(triples(g))
+    total = len(graphs)
+    frequent = {t for t, count in hosts_with.items() if count / total >= ws_min}
+    out: list[Digraph] = []
+    for g in graphs:
+        if isinstance(g, Digraph):
+            labels = g.labels
+            edges = frozenset(
+                (u, v, el) for u, v, el in g.edges
+                if (labels[u], labels[v], el) in frequent
+            )
+        else:
+            labels = tuple(gn.label for gn in g.nodes)
+            index = {label: i for i, label in enumerate(labels)}
+            edges = frozenset(
+                (index[u], index[v], el) for u, v, el in frequent.intersection(g.edges)
+            )
+        out.append(Digraph(labels, edges))
+    return out
 
 
 def mine_patterns(
@@ -404,6 +476,15 @@ def mine_patterns(
     raw support, which is sound because node weights never exceed one,
     so weighted support never exceeds support. Patterns that fail only
     the weighted threshold are still grown. Output is sorted by code.
+
+    Before the search, each host drops the arcs whose label triple is
+    below `ws_min` support (see `_frequent_hosts`); no frequent pattern
+    uses one. A grown code with distinct labels is tested for minimality
+    by replaying the one greedy traversal it must follow; a code with
+    repeated labels is compared with `min_dfs_code` (see `_is_min_code`).
+    Children that cannot be minimal are not built: those that put a
+    lesser label after the first, and those whose new arc sorts below
+    the tree arc its rightmost-path vertex took.
     """
     if not graphs:
         raise ValueError("graph database is empty")
@@ -412,24 +493,20 @@ def mine_patterns(
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
 
-    hosts = [_as_digraph(g) for g in graphs]
+    hosts = _frequent_hosts(graphs, ws_min)
     total = len(hosts)
     adjs = [_adjacency(h) for h in hosts]
     arcs = [_arc_map(h) for h in hosts]
     found: list[FailurePattern] = []
 
-    def weight(label: Hashable) -> float:
-        return label_weights[label]
-
-    def emit(code: DfsCode, support: float) -> None:
-        labels = _code_labels(code)
-        ws = support * statistics.fmean(weight(l) for l in labels)
+    def emit(code: DfsCode, labels: list[Hashable], support: float) -> None:
+        node_weights = tuple(label_weights[label] for label in labels)
+        ws = support * statistics.fmean(node_weights)
         if ws >= ws_min:
-            graph = _code_to_graph(code)
             found.append(
                 FailurePattern(
-                    graph=graph,
-                    node_weights=tuple(weight(l) for l in labels),
+                    graph=_code_to_graph(code, labels),
+                    node_weights=node_weights,
                     support=support,
                     weighted_support=ws,
                     code=code,
@@ -441,76 +518,87 @@ def mine_patterns(
     for gid, h in enumerate(hosts):
         for label in h.labels:
             label_gids.setdefault(label, set()).add(gid)
+    rank: dict[Hashable, int] = {}
     for label in sorted(label_gids):
+        rank[label] = len(rank)
         support = len(label_gids[label]) / total
         if support >= ws_min:
-            emit(((0, 0, label, 0, None, label),), support)
+            emit(((0, 0, label, 0, None, label),), [label], support)
+    # A code is only minimal if its first label is its least, so no root or
+    # forward extension that puts a lesser label after the first is built.
+    ranks = [[rank[label] for label in h.labels] for h in hosts]
 
     roots: dict[CodeEntry, list[_Embedding]] = {}
     for gid, h in enumerate(hosts):
         for u, v, el in h.edges:
             used = frozenset({_pair(u, v)})
             lu, lv = h.labels[u], h.labels[v]
-            roots.setdefault((0, 1, lu, 0, el, lv), []).append(
-                _Embedding(gid, (u, v), used)
-            )
-            roots.setdefault((0, 1, lv, 1, el, lu), []).append(
-                _Embedding(gid, (v, u), used)
-            )
+            if ranks[gid][u] <= ranks[gid][v]:
+                roots.setdefault((0, 1, lu, 0, el, lv), []).append(
+                    _Embedding(gid, (u, v), used)
+                )
+            if ranks[gid][v] <= ranks[gid][u]:
+                roots.setdefault((0, 1, lv, 1, el, lu), []).append(
+                    _Embedding(gid, (v, u), used)
+                )
 
-    def grow(code: DfsCode, embeddings: list[_Embedding]) -> None:
+    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[_Embedding]) -> None:
         support = len({e.gid for e in embeddings}) / total
         if support < ws_min:
             return
-        if not _is_min_code(code):
+        if not _is_min_code(code, labels):
             return
-        emit(code, support)
+        emit(code, labels, support)
 
-        labels = _code_labels(code)
         maxtoc = len(labels) - 1
         rmpath = _rmpath_indices(code)
+        least = rank[labels[0]]
+        r_rank = rank[labels[maxtoc]]
+        # Each rightmost-path vertex's tree arc to the next one was its least
+        # extension when taken. A new arc from that vertex, forward or as
+        # the reverse of a backward one, that sorts below it would have been
+        # taken first, so no child with such an arc is minimal.
+        tree = {(i, j): (d, el, rank[lj]) for i, j, _, d, el, lj in code if i < j}
+        floors = {x: tree[(x, y)] for x, y in zip(rmpath, rmpath[1:])}
+        forward = len(labels) < p_max
         children: dict[CodeEntry, list[_Embedding]] = {}
-        for emb in embeddings:
-            host_arcs = arcs[emb.gid]
-            r_host = emb.vmap[maxtoc]
+        for gid, vmap, used in embeddings:
+            host_arcs = arcs[gid]
+            r_host = vmap[maxtoc]
             for a_idx in rmpath[:-1]:
-                arc = host_arcs.get((r_host, emb.vmap[a_idx]))
+                arc = host_arcs.get((r_host, vmap[a_idx]))
                 if arc is None:
                     continue
-                pair = _pair(r_host, emb.vmap[a_idx])
-                if pair in emb.used:
-                    continue
                 d, el = arc
+                pair = _pair(r_host, vmap[a_idx])
+                if pair in used or (1 - d, el, r_rank) < floors[a_idx]:
+                    continue
                 entry = (maxtoc, a_idx, labels[maxtoc], d, el, labels[a_idx])
                 children.setdefault(entry, []).append(
-                    _Embedding(emb.gid, emb.vmap, emb.used | {pair})
+                    _Embedding(gid, vmap, used | {pair})
                 )
-            if len(emb.vmap) >= p_max:
+            if not forward:
                 continue
-            mapped = set(emb.vmap)
+            mapped = set(vmap)
+            host_labels, host_ranks = hosts[gid].labels, ranks[gid]
             for x_idx in rmpath:
-                x_host = emb.vmap[x_idx]
-                for w, d, el in adjs[emb.gid][x_host]:
-                    if w in mapped:
+                x_host = vmap[x_idx]
+                floor = floors.get(x_idx)
+                for w, d, el in adjs[gid][x_host]:
+                    if w in mapped or host_ranks[w] < least:
                         continue
-                    entry = (
-                        x_idx,
-                        maxtoc + 1,
-                        labels[x_idx],
-                        d,
-                        el,
-                        hosts[emb.gid].labels[w],
-                    )
+                    if floor is not None and (d, el, host_ranks[w]) < floor:
+                        continue
+                    entry = (x_idx, maxtoc + 1, labels[x_idx], d, el, host_labels[w])
                     children.setdefault(entry, []).append(
-                        _Embedding(
-                            emb.gid, emb.vmap + (w,), emb.used | {_pair(x_host, w)}
-                        )
+                        _Embedding(gid, vmap + (w,), used | {_pair(x_host, w)})
                     )
         for entry in sorted(children, key=_step_key):
-            grow(code + (entry,), children[entry])
+            grown = labels if entry[0] > entry[1] else labels + [entry[5]]
+            grow(code + (entry,), grown, children[entry])
 
     for entry in sorted(roots, key=_step_key):
-        grow((entry,), roots[entry])
+        grow((entry,), [entry[2], entry[5]], roots[entry])
 
     found.sort(key=lambda p: p.code)
     return found
@@ -614,13 +702,25 @@ def _product(values: Sequence[float]) -> float:
     return out
 
 
-def knowledge_confidence(pattern: FailurePattern, rules, combiner: str = "geomean") -> float:
-    """Blend structural confidence with the constituent rules' confidences."""
+def knowledge_confidence(
+    pattern: FailurePattern,
+    rules,
+    combiner: str = "geomean",
+    structural: float | None = None,
+) -> float:
+    """Blend structural confidence with the constituent rules' confidences.
+
+    `structural`, when given, stands in for the pattern's own
+    `structural_confidence`, so a pattern can be scored before it
+    carries one.
+    """
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {sorted(COMBINERS)}")
     rule_map = _rule_map(rules)
     confs = [rule_map[label].confidence for label in pattern.graph.labels]
-    return pattern.structural_confidence * COMBINERS[combiner](confs)
+    if structural is None:
+        structural = pattern.structural_confidence
+    return structural * COMBINERS[combiner](confs)
 
 
 def pattern_to_dot(pattern: FailurePattern, name: str = "pattern") -> str:

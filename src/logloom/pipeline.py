@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -239,8 +239,9 @@ def load_blacklist(path: str | Path) -> frozenset[int]:
 def _read_records(path: str | Path, build) -> list:
     """`build` applied to each non-blank JSON line of `path`, in order.
 
-    A line that is not JSON, or that `build` fails on with a KeyError,
-    TypeError or ValueError, is a SchemaError naming the file and line.
+    A line that is not JSON, is nested past the recursion limit, or that
+    `build` fails on with a KeyError, TypeError or ValueError, is a
+    SchemaError naming the file and line.
     """
     out = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -249,7 +250,7 @@ def _read_records(path: str | Path, build) -> list:
             continue
         try:
             out.append(build(decode_json_line(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: line {line_no}", _fault(exc)) from None
     return out
 
@@ -257,7 +258,9 @@ def _read_records(path: str | Path, build) -> list:
 def _fault(exc: Exception) -> str:
     if isinstance(exc, KeyError):
         return f"missing field {exc}"
-    return f"not JSON: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not JSON: {exc.msg}"
+    return f"not JSON: {exc}" if isinstance(exc, RecursionError) else str(exc)
 
 
 def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
@@ -401,7 +404,7 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
     SchemaError at `$.graphs[i]`."""
     try:
         windows = json.loads(Path(path).read_text(encoding="utf-8"))["graphs"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, RecursionError):
         windows = None
     if not isinstance(windows, list):
         raise SchemaError("$.graphs", f"{path} is not a JSON object with a graphs array")
@@ -410,10 +413,13 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
         try:
             nodes = tuple(
                 GraphNode(
-                    label=(dimension(n["dim"]), n["rule_id"]),
-                    weight=n["weight"],
-                    anchor=n["anchor"],
-                    node=n["node"],
+                    label=(
+                        dimension(n["dim"]),
+                        _typed(n["rule_id"], "rule_id", int, "an integer"),
+                    ),
+                    weight=_number(n["weight"], "weight"),
+                    anchor=_number(n["anchor"], "anchor"),
+                    node=_typed(n["node"], "node", str, "a string"),
                 )
                 for n in raw["nodes"]
             )
@@ -421,7 +427,8 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
                 ((dimension(d1), r1), (dimension(d2), r2), kind)
                 for d1, r1, d2, r2, kind in raw["edges"]
             )
-            out.append(WindowGraph(raw["window_index"], nodes, edges))
+            index = _typed(raw["window_index"], "window_index", int, "an integer")
+            out.append(WindowGraph(index, nodes, edges))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"$.graphs[{i}]", f"{path}: {_fault(exc)}") from None
     return out
@@ -494,14 +501,18 @@ def patterns_stage(
     rule_map = {r.label: r for r in rules}
     mined = mine_patterns(graphs, weights, cfg.ws_min, cfg.p_max)
     confidences = structural_confidences(mined, graphs, rule_map)
-    out: list[FailurePattern] = []
-    for p, conf in zip(mined, confidences):
-        p = replace(p, structural_confidence=conf)
-        p = replace(
-            p, knowledge_confidence=knowledge_confidence(p, rule_map, cfg.combiner)
+    return [
+        FailurePattern(
+            graph=p.graph,
+            node_weights=p.node_weights,
+            support=p.support,
+            weighted_support=p.weighted_support,
+            code=p.code,
+            structural_confidence=conf,
+            knowledge_confidence=knowledge_confidence(p, rule_map, cfg.combiner, conf),
         )
-        out.append(p)
-    return out
+        for p, conf in zip(mined, confidences)
+    ]
 
 
 def kb_stage(

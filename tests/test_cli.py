@@ -71,6 +71,24 @@ class TestExitCodes:
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "out")]) == 2
         assert "rejected 2 of 3" in capsys.readouterr().err
 
+    def test_json_lines_past_the_decoder_limits_are_rejected(self, tmp_path, capsys):
+        """An integer literal over the digit limit and nesting over the
+        recursion limit are rejected lines that count toward the majority."""
+        good = '{{"ts": {}, "node": "a", "dim": "event", "msg": "x"}}\n'
+        huge = '{"ts": 2, "node": "a", "dim": "event", "msg": "x", "n": ' + "9" * 5000 + "}\n"
+        deep = "[" * 100_000 + "]" * 100_000 + "\n"
+        log = tmp_path / "log.jsonl"
+        log.write_text(good.format(1) + huge + good.format(3) + deep + good.format(5))
+        assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "out")]) == 0
+        rejects = (tmp_path / "out" / "rejects.txt").read_text().splitlines()
+        assert [line[:34] for line in rejects] == [
+            "line 2: invalid JSON: Exceeds the ",
+            "line 4: invalid JSON: maximum recu",
+        ]
+        log.write_text(huge + good.format(3) + deep)
+        assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "again")]) == 2
+        assert "rejected 2 of 3" in capsys.readouterr().err
+
     def test_unknown_config_key_is_3_and_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"wnidow": 120}')
@@ -180,6 +198,8 @@ class TestExitCodes:
                      id="events-bool_template"),
         pytest.param("events.jsonl", lambda row: {**row, "node": 5}, "line 1",
                      id="events-number_node"),
+        pytest.param("events.jsonl", lambda row: "[" * 100_000 + "]" * 100_000, None,
+                     id="events-deep_nesting"),
         pytest.param("instances.jsonl", lambda row: _without(row, "dim"), None,
                      id="instances-no_dim"),
         pytest.param("instances.jsonl", lambda row: {**row, "anchor": "x"}, "line 1",
@@ -195,6 +215,22 @@ class TestExitCodes:
         pytest.param("graphs.json", lambda doc: "{not json", "$.graphs", id="graphs-not_json"),
         pytest.param("graphs.json", lambda doc: doc["graphs"], "$.graphs", id="graphs-array"),
         pytest.param("graphs.json", lambda doc: {"graphs": 5}, "$.graphs", id="graphs-not_array"),
+        pytest.param("graphs.json", lambda doc: "[" * 100_000 + "]" * 100_000, "$.graphs",
+                     id="graphs-deep_nesting"),
+        pytest.param("graphs.json", lambda doc: _first_node(doc, weight="x"), "$.graphs[0]",
+                     id="graphs-string_weight"),
+        pytest.param("graphs.json", lambda doc: _first_node(doc, weight=float("nan")),
+                     "$.graphs[0]", id="graphs-nan_weight"),
+        pytest.param("graphs.json", lambda doc: _first_node(doc, anchor="x"), "$.graphs[0]",
+                     id="graphs-string_anchor"),
+        pytest.param("graphs.json",
+                     lambda doc: _first_node(doc, rule_id=float(doc["graphs"][0]["nodes"][0]["rule_id"])),
+                     "$.graphs[0]", id="graphs-float_rule_id"),
+        pytest.param("graphs.json", lambda doc: _first_node(doc, node=5), "$.graphs[0]",
+                     id="graphs-number_node"),
+        pytest.param("graphs.json",
+                     lambda doc: {"graphs": [{**doc["graphs"][0], "window_index": "0"}]},
+                     "$.graphs[0]", id="graphs-string_window_index"),
     ])
     def test_malformed_interchange_record_is_3_and_located(
         self, workdir, tmp_path, capsys, name, edit, where
@@ -232,6 +268,13 @@ def _text(doc) -> str:
 
 def _without(row: dict, key: str) -> dict:
     return {k: v for k, v in row.items() if k != key}
+
+
+def _first_node(doc: dict, **fields) -> dict:
+    """graphs.json cut to its first window, whose first node gets `fields`."""
+    window = doc["graphs"][0]
+    nodes = [{**window["nodes"][0], **fields}, *window["nodes"][1:]]
+    return {"graphs": [{**window, "nodes": nodes}]}
 
 
 class TestSynth:

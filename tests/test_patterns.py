@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,76 @@ class TestMinDfsCode:
             assert same_code == brute_isomorphic(a, b)
 
 
+DISTINCT_POOL = [(dim, rid) for dim in Dimension for rid in range(3)]
+
+
+@st.composite
+def distinct_label_digraphs(draw):
+    """Connected digraph of 2-6 vertices with distinct labels: a random
+    spanning tree plus random extra arcs, directions and kinds drawn."""
+    n = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.sampled_from(DISTINCT_POOL), min_size=n, max_size=n, unique=True))
+    kinds = st.sampled_from(["same", "cross"])
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        a, b = (u, v) if draw(st.booleans()) else (v, u)
+        edges.add((a, b, draw(kinds)))
+    joined = {frozenset((u, v)) for u, v, _ in edges}
+    for u, v in itertools.combinations(range(n), 2):
+        if frozenset((u, v)) not in joined and draw(st.booleans()):
+            a, b = (u, v) if draw(st.booleans()) else (v, u)
+            edges.add((a, b, draw(kinds)))
+    return g(labels, edges)
+
+
+def _dfs_code(graph, rnd):
+    """Code of one random DFS traversal of `graph`, with its labels in
+    discovery order. Each new vertex emits its tree entry, then its
+    backward entries in ascending discovery order."""
+    arcs = {(u, v): el for u, v, el in graph.edges}
+    nbrs = {v: set() for v in range(graph.n)}
+    for u, v, _ in graph.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    def entry(i, j, hu, hv):
+        if (hu, hv) in arcs:
+            return (i, j, graph.labels[hu], 0, arcs[(hu, hv)], graph.labels[hv])
+        return (i, j, graph.labels[hu], 1, arcs[(hv, hu)], graph.labels[hv])
+
+    start = rnd.randrange(graph.n)
+    pos, stack, code = {start: 0}, [start], []
+    while stack:
+        cur = stack[-1]
+        fresh = sorted(nbrs[cur] - pos.keys())
+        if not fresh:
+            stack.pop()
+            continue
+        w = rnd.choice(fresh)
+        pos[w] = len(pos)
+        code.append(entry(pos[cur], pos[w], cur, w))
+        for u in sorted(nbrs[w] & pos.keys() - {cur, w}, key=pos.get):
+            code.append(entry(pos[w], pos[u], w, u))
+        stack.append(w)
+    return tuple(code), [graph.labels[v] for v in sorted(pos, key=pos.get)]
+
+
+class TestDistinctLabelReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(distinct_label_digraphs(), st.randoms(use_true_random=False))
+    def test_replay_equals_full_search(self, graph, rnd):
+        """On minimum codes and on codes of other DFS traversals, the
+        replay agrees with comparing against the full canonical search."""
+        minimum, order = patterns_module._min_code_with_order(graph)
+        codes = [(minimum, [graph.labels[v] for v in order])]
+        codes += [_dfs_code(graph, rnd) for _ in range(4)]
+        for code, labels in codes:
+            full = min_dfs_code(patterns_module._code_to_graph(code, labels)) == code
+            assert patterns_module._is_min_code(code, labels) == full
+        assert patterns_module._is_min_code(*codes[0])
+
+
 class TestSubgraphContains:
     def test_non_induced_extra_arcs_allowed(self):
         host = g([A, B, C], [(0, 1, "same"), (1, 2, "same"), (0, 2, "cross")])
@@ -212,6 +283,64 @@ class TestMinePatterns:
             if p.weighted_support >= 0.4
         }
         assert strict == loose
+
+    def test_window_hosts_with_infrequent_arcs_match_brute_universe(self, rng):
+        infrequent = 0
+        for _ in range(20):
+            windows = [_random_window(rng, index) for index in range(rng.randint(2, 7))]
+            ws_min = rng.choice([0.25, 0.4])
+            support = _arc_support(windows)
+            infrequent += sum(1 for n in support.values() if n / len(windows) < ws_min)
+            mined = mine_patterns(windows, POOL_WEIGHTS, ws_min=ws_min, p_max=4)
+            got = {p.code: (p.support, p.weighted_support) for p in mined}
+            hosts = [w.digraph() for w in windows]
+            want = brute_pattern_universe(hosts, POOL_WEIGHTS, ws_min, p_max=4)
+            assert got.keys() == want.keys()
+            for code, (sup, ws) in want.items():
+                assert got[code][0] == pytest.approx(sup)
+                assert got[code][1] == pytest.approx(ws)
+        assert infrequent > 0
+
+    def test_search_builds_nothing_for_infrequent_arcs_or_full_canonical_search(
+        self, monkeypatch
+    ):
+        """No embedding uses an arc whose label triple is below ws_min, and
+        distinct-label codes never reach the all-start canonical search."""
+        # A -cross-> B -cross-> C with A -same-> C is frequent at 0.5; every
+        # arc touching D, and A -cross-> C, is in one window of four
+        windows = [
+            _window(0, [A, B, C, D], [(A, B, "cross"), (B, C, "cross"), (A, C, "same"),
+                                      (C, D, "same")]),
+            _window(1, [A, B, C], [(A, B, "cross"), (B, C, "cross"), (A, C, "same")]),
+            _window(2, [D, A, B, C], [(A, B, "cross"), (B, C, "cross"), (D, A, "same"),
+                                      (D, C, "cross")]),
+            _window(3, [A, C], [(A, C, "cross")]),
+        ]
+        support = _arc_support(windows)
+        built, searched = [], []
+        embedding, full_search = patterns_module._Embedding, patterns_module._min_code_with_order
+
+        def counting_embedding(gid, vmap, used):
+            built.append((gid, used))
+            return embedding(gid, vmap, used)
+
+        def counting_search(graph):
+            searched.append(graph)
+            return full_search(graph)
+
+        monkeypatch.setattr(patterns_module, "_Embedding", counting_embedding)
+        monkeypatch.setattr(patterns_module, "_min_code_with_order", counting_search)
+        mined = mine_patterns(windows, {label: 1.0 for label in LABEL_POOL}, ws_min=0.5)
+        assert max(p.graph.n for p in mined) == 3
+        assert built and not searched
+        for gid, used in built:
+            labels = [gn.label for gn in windows[gid].nodes]
+            for a, b in used:
+                (arc,) = [e for e in windows[gid].edges if {e[0], e[1]} == {labels[a], labels[b]}]
+                assert support[arc] / len(windows) >= 0.5
+        # a code with repeated labels still takes the full search
+        mine_patterns([g([A, A, B], [(0, 1, "same"), (1, 2, "same")])], WEIGHTS, ws_min=0.1)
+        assert searched
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -309,6 +438,26 @@ def _window(index, labels, edges):
 LABEL_POOL = [(dim, rid) for dim in (Dimension.EVENT, Dimension.STATUS) for rid in range(3)]
 POOL_RULES = [_atomic_rule(label, confidence=0.5 + 0.1 * label[1]) for label in LABEL_POOL]
 SCORING_CFG = PipelineConfig(ws_min=0.1, p_max=4)
+POOL_WEIGHTS = {label: 0.5 + 0.1 * k for k, label in enumerate(LABEL_POOL)}
+
+
+def _random_window(rng, index):
+    """Window of 1-5 distinct pool labels; each forward pair gets an edge
+    with probability one half."""
+    labels = rng.sample(LABEL_POOL, rng.randint(1, 5))
+    edges = {
+        (u, v, rng.choice(["same", "cross"]))
+        for j, v in enumerate(labels)
+        for u in labels[:j]
+        if rng.random() < 0.5
+    }
+    return _window(index, labels, edges)
+
+
+def _arc_support(windows):
+    """Windows holding each label-keyed edge; a window has each at most once."""
+    return Counter(e for w in windows for e in w.edges)
+
 
 # V shape: removing the consequent C leaves A and B as two components
 V_DB = [
