@@ -7,6 +7,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -21,6 +22,7 @@ from .graphs import (
     WEIGHT_MODES,
     GraphConfig,
     GraphNode,
+    Label,
     WindowGraph,
     build_window_graphs,
     label_weights,
@@ -45,7 +47,6 @@ from .patterns import (
     structural_confidences,
 )
 from .preprocess import CoalescePolicy, NoisePolicy, NoiseReport, coalesce, filter_noise
-from .synth import write_jsonl
 
 
 class ConfigError(Exception):
@@ -263,13 +264,46 @@ def _fault(exc: Exception) -> str:
     return f"not JSON: {exc}" if isinstance(exc, RecursionError) else str(exc)
 
 
+# Direct JSON rendering for the bulk interchange files: the same bytes as
+# `json.dumps(..., sort_keys=True)` without building its dict documents.
+# Strings are escaped to ASCII by json's own `encode_basestring_ascii`,
+# once per distinct string in a file.
+
+
+class _Memo(dict):
+    """`memo[key]` is `make(key)`, made on first use."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _scalar(value: Any) -> str:
+    """JSON text of a number: `repr` of an int or a finite float, which is
+    what `json` writes; `json.dumps` for anything else (NaN, a bool, ...)."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
+
+
+_DIM_TEXT = {d: encode_basestring_ascii(d.value) for d in Dimension}
+
+
 def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
-    rows = (
-        {"ts": ev.ts, "node": ev.node, "dim": ev.dim.value,
-         "template": ev.template, "count": ev.count}
-        for ev in events
-    )
-    write_jsonl(rows, path)
+    """One `json.dumps(row, sort_keys=True)` line per event, rendered directly."""
+    strings = _Memo(encode_basestring_ascii)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            f'{{"count": {_scalar(ev.count)}, "dim": {_DIM_TEXT[ev.dim]}, '
+            f'"node": {strings[ev.node]}, "template": {_scalar(ev.template)}, '
+            f'"ts": {_scalar(ev.ts)}}}\n'
+            for ev in events
+        )
 
 
 def _number(value: Any, key: str) -> float:
@@ -338,12 +372,15 @@ def read_rules_doc(path: str | Path) -> KnowledgeBase:
 
 
 def write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None:
-    rows = (
-        {"rule_id": inst.rule_id, "dim": inst.dim.value, "anchor": inst.anchor,
-         "span": list(inst.span), "node": inst.node}
-        for inst in instances
-    )
-    write_jsonl(rows, path)
+    """One `json.dumps(row, sort_keys=True)` line per instance, rendered directly."""
+    strings = _Memo(encode_basestring_ascii)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            f'{{"anchor": {_scalar(inst.anchor)}, "dim": {_DIM_TEXT[inst.dim]}, '
+            f'"node": {strings[inst.node]}, "rule_id": {_scalar(inst.rule_id)}, '
+            f'"span": [{", ".join(map(_scalar, inst.span))}]}}\n'
+            for inst in instances
+        )
 
 
 def read_instances(
@@ -370,33 +407,61 @@ def read_instances(
     return _read_records(path, build)
 
 
+# The indent=2 layout of graphs.json, one template per nesting level.
+_GRAPHS_OPEN = '{\n  "graphs": ['
+_GRAPHS_TAIL = ',\n  "version": 1\n}\n'
+_WINDOW = '\n    {{\n      "edges": {},\n      "nodes": {},\n      "window_index": {}\n    }}'
+_EDGE = "\n        [\n          {},\n          {},\n          {},\n          {},\n          {}\n        ]"
+_NODE = (
+    '\n        {{\n          "anchor": {},\n          "dim": {},\n          "node": {},'
+    '\n          "rule_id": {},\n          "weight": {}\n        }}'
+)
+
+
+def _array(items: list[str]) -> str:
+    """A window's edge or node array; `[]` when empty."""
+    return "[" + ",".join(items) + "\n      ]" if items else "[]"
+
+
 def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
-    doc = {
-        "version": 1,
-        "graphs": [
-            {
-                "window_index": g.window_index,
-                "nodes": [
-                    {
-                        "dim": gn.label[0].value,
-                        "rule_id": gn.label[1],
-                        "weight": gn.weight,
-                        "anchor": gn.anchor,
-                        "node": gn.node,
-                    }
-                    for gn in g.nodes
-                ],
-                "edges": sorted(
-                    [[u[0].value, u[1], v[0].value, v[1], kind]
-                     for u, v, kind in g.edges]
-                ),
-            }
-            for g in graphs
-        ],
-    }
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """`json.dumps(doc, sort_keys=True, indent=2)` of the graphs document
+    plus a newline, rendered directly and written one window at a time.
+
+    Edges are listed as `[dim, rule_id, dim, rule_id, kind]` in sorted
+    order. Each label's sort key and each edge's text are made once per
+    call; rule ids are ints, as everywhere in a Label.
+    """
+    strings = _Memo(encode_basestring_ascii)
+    keys = _Memo(lambda label: (label[0].value, label[1]))
+
+    def edge_row(edge: tuple[Label, Label, str]) -> list:
+        """The edge's sort key followed by its text. A list, not a tuple:
+        CPython keeps up to 2000 freed tuples of each length for reuse,
+        so a tuple per distinct edge would stay allocated after the call."""
+        (du, ru), (dv, rv), kind = keys[edge[0]], keys[edge[1]], edge[2]
+        text = _EDGE.format(strings[du], _scalar(ru), strings[dv], _scalar(rv), strings[kind])
+        return [du, ru, dv, rv, kind, text]
+
+    edge_rows = _Memo(edge_row)
+
+    def window(g: WindowGraph) -> str:
+        edges = [row[5] for row in sorted(map(edge_rows.__getitem__, g.edges))]
+        nodes = [
+            _NODE.format(
+                _scalar(gn.anchor), _DIM_TEXT[gn.label[0]], strings[gn.node],
+                _scalar(gn.label[1]), _scalar(gn.weight),
+            )
+            for gn in g.nodes
+        ]
+        return _WINDOW.format(_array(edges), _array(nodes), _scalar(g.window_index))
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_GRAPHS_OPEN)
+        sep = ""
+        for g in graphs:
+            fh.write(sep + window(g))
+            sep = ","
+        fh.write(("\n  ]" if sep else "]") + _GRAPHS_TAIL)
 
 
 def read_graphs(path: str | Path) -> list[WindowGraph]:
@@ -424,7 +489,11 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
                 for n in raw["nodes"]
             )
             edges = frozenset(
-                ((dimension(d1), r1), (dimension(d2), r2), kind)
+                (
+                    (dimension(d1), _typed(r1, "rule_id", int, "an integer")),
+                    (dimension(d2), _typed(r2, "rule_id", int, "an integer")),
+                    kind,
+                )
                 for d1, r1, d2, r2, kind in raw["edges"]
             )
             index = _typed(raw["window_index"], "window_index", int, "an integer")

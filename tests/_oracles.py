@@ -1,19 +1,24 @@
-"""Slow reference implementations used to check the fast miners.
+"""Slow reference implementations used to check the fast miners and writers.
 
 Everything here favors obviousness over speed: supports are counted by
 materializing every window, canonical codes by enumerating every DFS
 traversal, containment by trying every injective vertex mapping.
-Messages are masked by the four regex passes as first written.
+Messages are masked by the four regex passes as first written. The
+interchange files are written by building their JSON documents and
+handing them to `json.dumps`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
+from pathlib import Path
 from statistics import fmean
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from logloom import CanonicalEvent, Digraph
+from logloom import CanonicalEvent, Digraph, RuleInstance, WindowGraph
+from logloom.synth import write_jsonl
 
 
 # The masking chain as first written: each pattern opens with its
@@ -248,3 +253,50 @@ def _weakly_connected(g: Digraph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def reference_write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
+    rows = (
+        {"ts": ev.ts, "node": ev.node, "dim": ev.dim.value,
+         "template": ev.template, "count": ev.count}
+        for ev in events
+    )
+    write_jsonl(rows, path)
+
+
+def reference_write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None:
+    rows = (
+        {"rule_id": inst.rule_id, "dim": inst.dim.value, "anchor": inst.anchor,
+         "span": list(inst.span), "node": inst.node}
+        for inst in instances
+    )
+    write_jsonl(rows, path)
+
+
+def reference_write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
+    doc = {
+        "version": 1,
+        "graphs": [
+            {
+                "window_index": g.window_index,
+                "nodes": [
+                    {
+                        "dim": gn.label[0].value,
+                        "rule_id": gn.label[1],
+                        "weight": gn.weight,
+                        "anchor": gn.anchor,
+                        "node": gn.node,
+                    }
+                    for gn in g.nodes
+                ],
+                "edges": sorted(
+                    [[u[0].value, u[1], v[0].value, v[1], kind]
+                     for u, v, kind in g.edges]
+                ),
+            }
+            for g in graphs
+        ],
+    }
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )

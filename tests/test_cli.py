@@ -9,8 +9,17 @@ from pathlib import Path
 import pytest
 
 import logloom
+from _oracles import reference_write_events, reference_write_graphs, reference_write_instances
 from logloom import ConfigError, PipelineConfig, config_digest
 from logloom.cli import main
+from logloom.pipeline import (
+    graphs_stage,
+    mine_rules_stage,
+    preprocess_stage,
+    read_events,
+    read_instances,
+    read_rules_doc,
+)
 
 # Every file of a run that is a byte-exact function of the log and the knobs.
 INTERCHANGE = ("templates.tsv", "rejects.txt", "events.jsonl", "rules.json",
@@ -228,6 +237,10 @@ class TestExitCodes:
                      "$.graphs[0]", id="graphs-float_rule_id"),
         pytest.param("graphs.json", lambda doc: _first_node(doc, node=5), "$.graphs[0]",
                      id="graphs-number_node"),
+        pytest.param("graphs.json", lambda doc: _first_edge(doc, 1, float), "$.graphs[0]",
+                     id="graphs-float_edge_rule_id"),
+        pytest.param("graphs.json", lambda doc: _first_edge(doc, 3, bool), "$.graphs[0]",
+                     id="graphs-bool_edge_rule_id"),
         pytest.param("graphs.json",
                      lambda doc: {"graphs": [{**doc["graphs"][0], "window_index": "0"}]},
                      "$.graphs[0]", id="graphs-string_window_index"),
@@ -275,6 +288,16 @@ def _first_node(doc: dict, **fields) -> dict:
     window = doc["graphs"][0]
     nodes = [{**window["nodes"][0], **fields}, *window["nodes"][1:]]
     return {"graphs": [{**window, "nodes": nodes}]}
+
+
+def _first_edge(doc: dict, position: int, cast) -> dict:
+    """graphs.json cut to its first window, whose first edge has the rule
+    id at `position` cast to a float or bool that equals it."""
+    window = doc["graphs"][0]
+    edge = list(window["edges"][0])
+    assert edge[position] in (0, 1)
+    edge[position] = cast(edge[position])
+    return {"graphs": [{**window, "edges": [edge, *window["edges"][1:]]}]}
 
 
 class TestSynth:
@@ -354,6 +377,46 @@ class TestComposability:
         assert (s / "4" / "graphs.json").read_bytes() == (run / "graphs.json").read_bytes()
         assert (s / "5" / "kb.json").read_bytes() == (run / "kb.json").read_bytes()
         assert "digraph window_0" in (s / "4" / "graphs.dot").read_text()
+
+
+    def test_stage_files_equal_reference_writers(self, tmp_path):
+        """preprocess, mine-rules and build-graphs, run one by one on a
+        hand-written log with int timestamps and a non-ASCII node, each
+        write what the json.dumps reference writes for that stage's
+        records."""
+        rows = []
+        for t in range(0, 2000, 100):
+            rows += [
+                {"count": 1, "dim": "event", "node": "a", "template": 0, "ts": t},
+                {"count": 1, "dim": "event", "node": "n\u0153ud-\u03b2", "template": 1, "ts": t + 5},
+                {"count": 2, "dim": "status", "node": "n\u0153ud-\u03b2", "template": 2, "ts": t + 30},
+            ]
+        s = tmp_path
+        (s / "events.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        (s / "templates.tsv").write_text("0\tconfig changed\n1\tlink down\n2\tjob slow\n")
+        assert main(["preprocess", "--events", str(s / "events.jsonl"), "--out", str(s / "2")]) == 0
+        assert main([
+            "mine-rules", "--events", str(s / "2" / "events.jsonl"),
+            "--templates", str(s / "templates.tsv"), "--out", str(s / "3")]) == 0
+        assert main([
+            "build-graphs", "--instances", str(s / "3" / "instances.jsonl"),
+            "--rules", str(s / "3" / "rules.json"), "--out", str(s / "4")]) == 0
+
+        cfg = PipelineConfig()
+        kept, _, _ = preprocess_stage(cfg, read_events(s / "events.jsonl"))
+        _, instances = mine_rules_stage(cfg, read_events(s / "2" / "events.jsonl"))
+        rules = list(read_rules_doc(s / "3" / "rules.json").rules.values())
+        graphs = graphs_stage(cfg, read_instances(s / "3" / "instances.jsonl", rules), rules)
+        assert isinstance(kept[0].ts, int) and isinstance(instances[0].anchor, int)
+        assert any(g.edges for g in graphs)
+        for written, write, records in [
+            (s / "2" / "events.jsonl", reference_write_events, kept),
+            (s / "3" / "instances.jsonl", reference_write_instances, instances),
+            (s / "4" / "graphs.json", reference_write_graphs, graphs),
+        ]:
+            write(records, s / "reference")
+            assert written.read_bytes() == (s / "reference").read_bytes(), written.name
+            assert b"n\\u0153ud-\\u03b2" in written.read_bytes()
 
 
 class TestFlagPrecedence:

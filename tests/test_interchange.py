@@ -1,0 +1,153 @@
+"""The bulk interchange writers against their json.dumps references.
+
+`write_events`, `write_instances` and `write_graphs` render JSON text
+directly. Their files must hold the bytes that building each document
+and handing it to `json.dumps` gives, and read back to the records
+written.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from _oracles import reference_write_events, reference_write_graphs, reference_write_instances
+from logloom import CanonicalEvent, Dimension, GraphNode, RuleInstance, WindowGraph
+from logloom.pipeline import (
+    read_events,
+    read_graphs,
+    read_instances,
+    write_events,
+    write_graphs,
+    write_instances,
+)
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+NAMES = st.one_of(
+    st.sampled_from(["n00", "nœud-β", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f",
+                     "line\u2028sep", "\U0001f680", ""]),
+    st.text(max_size=6),
+)
+EDGE_CASE_NUMBERS = [0.0, -0.0, 1e-07, 1e16, 5e-324, 0, 2**70, -(2**64)]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_CASE_NUMBERS),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Values the writers pass to json.dumps as they stand: non-finite floats,
+# bools and None keep the bytes json gives them.
+ANY_NUMBER = st.one_of(FINITE, st.floats(), st.booleans(), st.none())
+INTS = st.one_of(st.integers(min_value=0, max_value=3), st.integers())
+DIMS = st.sampled_from(list(Dimension))
+
+
+def events(numbers):
+    return st.lists(st.builds(
+        CanonicalEvent, ts=numbers, node=NAMES, dim=DIMS, template=INTS,
+        count=st.integers(min_value=1) | st.sampled_from([1, 2**70]),
+    ), max_size=6)
+
+
+def instances(numbers):
+    return st.lists(st.builds(
+        RuleInstance, rule_id=INTS, dim=DIMS, anchor=numbers,
+        span=st.tuples(numbers, numbers), node=NAMES,
+    ), max_size=6)
+
+
+@st.composite
+def window_graph(draw, numbers):
+    """A valid WindowGraph: unique labels from a small pool, so that
+    edges share dimensions and rule ids, and edges from earlier anchors
+    to later ones."""
+    labels = draw(st.lists(st.tuples(DIMS, st.integers(0, 3)), unique=True, max_size=6))
+    anchors = numbers.filter(lambda x: x is not None)
+    nodes = tuple(
+        GraphNode(label, draw(numbers), draw(anchors), draw(NAMES)) for label in labels
+    )
+    edges = frozenset(
+        (u.label, v.label, kind)
+        for u in nodes for v in nodes
+        if u.anchor < v.anchor
+        for kind in [draw(st.sampled_from([None, "same", "cross"]))]
+        if kind
+    )
+    return WindowGraph(draw(st.integers() | st.integers(0, 9)), nodes, edges)
+
+
+def graph_lists(numbers):
+    return st.lists(window_graph(numbers), max_size=4)
+
+
+def _label_graph(index, labels_at):
+    """A window whose nodes, given as (dim, rule_id, anchor), are joined
+    from each earlier anchor to each later one."""
+    nodes = tuple(GraphNode((d, r), 0.5, a, "a") for d, r, a in labels_at)
+    edges = frozenset(
+        (u.label, v.label, "cross") for u in nodes for v in nodes if u.anchor < v.anchor
+    )
+    return WindowGraph(index, nodes, edges)
+
+
+# Edges whose order by dimension name differs from declaration order
+# (comm < event < ras < status against event, status, comm, ras), a
+# window with no edges, and each odd number in node fields.
+MIXED_DIMS = [
+    _label_graph(0, [(Dimension.EVENT, 1, 0.0), (Dimension.COMM, 0, 1e-07),
+                     (Dimension.RAS, 2, 5), (Dimension.STATUS, 2**70, 1e16)]),
+    _label_graph(3, [(Dimension.STATUS, 0, -0.0)]),
+    WindowGraph(4, (), frozenset()),
+]
+
+
+def _bytes(write, records, path):
+    write(records, path)
+    return path.read_bytes()
+
+
+class TestWritersEqualJsonDumps:
+    @SETTINGS
+    @given(evs=events(ANY_NUMBER))
+    @example(evs=[CanonicalEvent(ts, "n", Dimension.RAS, 2**70, 1) for ts in EDGE_CASE_NUMBERS])
+    def test_events(self, tmp_path, evs):
+        assert _bytes(write_events, evs, tmp_path / "new") == _bytes(
+            reference_write_events, evs, tmp_path / "ref")
+
+    @SETTINGS
+    @given(xs=instances(ANY_NUMBER))
+    @example(xs=[RuleInstance(3, Dimension.COMM, a, (a, 5e-324), 'q"\\') for a in EDGE_CASE_NUMBERS])
+    def test_instances(self, tmp_path, xs):
+        assert _bytes(write_instances, xs, tmp_path / "new") == _bytes(
+            reference_write_instances, xs, tmp_path / "ref")
+
+    @SETTINGS
+    @given(gs=graph_lists(ANY_NUMBER))
+    @example(gs=[])
+    @example(gs=MIXED_DIMS)
+    def test_graphs(self, tmp_path, gs):
+        assert _bytes(write_graphs, gs, tmp_path / "new") == _bytes(
+            reference_write_graphs, gs, tmp_path / "ref")
+
+
+class TestRoundTrip:
+    @SETTINGS
+    @given(evs=events(FINITE))
+    def test_events(self, tmp_path, evs):
+        evs = sorted(evs, key=lambda e: e.sort_key)
+        write_events(evs, tmp_path / "events.jsonl")
+        assert read_events(tmp_path / "events.jsonl") == evs
+
+    @SETTINGS
+    @given(xs=instances(FINITE))
+    def test_instances(self, tmp_path, xs):
+        write_instances(xs, tmp_path / "instances.jsonl")
+        assert read_instances(tmp_path / "instances.jsonl") == xs
+
+    @SETTINGS
+    @given(gs=graph_lists(FINITE))
+    @example(gs=[])
+    @example(gs=MIXED_DIMS)
+    def test_graphs(self, tmp_path, gs):
+        write_graphs(gs, tmp_path / "graphs.json")
+        assert read_graphs(tmp_path / "graphs.json") == gs
