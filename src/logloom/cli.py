@@ -12,9 +12,10 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .graphs import window_graph_to_dot
+from .graphs import label_text, window_graph_to_dot
 from .ingest import Dimension, ParseError, TemplateTable
 from .knowledge import (
+    NODE_SCOPES,
     SchemaError,
     export,
     import_expert,
@@ -224,8 +225,7 @@ def _describe_pattern(p) -> str:
         consequent = -1
 
     def name(i: int) -> str:
-        dim, rid = g.labels[i]
-        text = f"{dim.value}:{rid}"
+        text = label_text(g.labels[i])
         return f"[{text}]" if i == consequent else text
 
     parts = [f"{name(u)} -({el})-> {name(v)}" for u, v, el in sorted(g.edges)]
@@ -337,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kb", required=True)
     p.add_argument("--target", required=True,
                    help="dim:<rule_id>, dim:rule:<id> or dim:template:<id>")
-    p.add_argument("--scope", choices=["any", "same", "cross"])
+    p.add_argument("--scope", choices=NODE_SCOPES)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("export", help="print a knowledge document or DOT")

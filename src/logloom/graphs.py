@@ -52,17 +52,20 @@ class WindowGraph:
     join. Edges always point from the earlier anchor to the strictly
     later one, so the graph is a DAG, and carry one kind from
     EDGE_KINDS; no ordered label pair has two edges.
+    `build_window_graphs` guarantees these invariants by construction;
+    `check()` enforces them on graphs read from outside.
     """
 
     window_index: int
     nodes: tuple[GraphNode, ...]
     edges: frozenset[tuple[Label, Label, str]]
 
-    def __post_init__(self) -> None:
+    def check(self) -> None:
+        """Raise ValueError naming the first invariant the graph breaks."""
         anchors: dict[Label, float] = {}
         for gn in self.nodes:
             if gn.label in anchors:
-                raise ValueError(f"node label {_name(gn.label)} is not unique")
+                raise ValueError(f"node label {label_text(gn.label)} is not unique")
             anchors[gn.label] = gn.anchor
         pairs: set[tuple[Label, Label]] = set()
         for u, v, kind in self.edges:
@@ -77,7 +80,7 @@ class WindowGraph:
             else:
                 pairs.add((u, v))
                 continue
-            raise ValueError(f"edge {_name(u)} -> {_name(v)} {fault}")
+            raise ValueError(f"edge {label_text(u)} -> {label_text(v)} {fault}")
 
     def digraph(self) -> Digraph:
         index = {gn.label: i for i, gn in enumerate(self.nodes)}
@@ -87,7 +90,8 @@ class WindowGraph:
         )
 
 
-def _name(label: Label) -> str:
+def label_text(label: Label) -> str:
+    """A label as `dim:rule_id`, the form reports and DOT output show."""
     return f"{label[0].value}:{label[1]}"
 
 
@@ -156,9 +160,9 @@ def window_graph_to_dot(graph: WindowGraph) -> str:
     """Render one window graph in DOT form for graphviz."""
     lines = [f"digraph window_{graph.window_index} {{"]
     for gn in graph.nodes:
-        name = _name(gn.label)
+        name = label_text(gn.label)
         lines.append(f'  "{name}" [label="{name}\\nw={gn.weight:.4f}"];')
     for u, v, kind in sorted(graph.edges):
-        lines.append(f'  "{_name(u)}" -> "{_name(v)}" [label="{kind}"];')
+        lines.append(f'  "{label_text(u)}" -> "{label_text(v)}" [label="{kind}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

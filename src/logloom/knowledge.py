@@ -7,20 +7,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from .episodes import SequenceRule
-from .graphs import EDGE_KINDS
+from .graphs import EDGE_KINDS, Label, label_text
 from .ingest import Dimension, TemplateTable
-from .patterns import (
-    DfsCode,
-    Digraph,
-    FailurePattern,
-    _is_connected,
-    consequent_index,
-    remove_node,
-)
+from .patterns import DfsCode, Digraph, FailurePattern, consequent_index, remove_node
 
 DOC_VERSION = 1
-
-Label = tuple[Dimension, int]
 
 NODE_SCOPES = ("any", "same", "cross")
 
@@ -71,11 +62,6 @@ class MergeReport:
         return "\n".join(lines)
 
 
-def _label_text(label: Label) -> str:
-    dim, rid = label
-    return f"{dim.value}:{rid}"
-
-
 def merge(
     kb: KnowledgeBase, incoming: Iterable[FailurePattern]
 ) -> tuple[KnowledgeBase, MergeReport]:
@@ -89,11 +75,11 @@ def merge(
     report = MergeReport()
     for p in sorted(incoming, key=lambda p: p.code):
         missing = sorted(
-            {_label_text(l) for l in p.graph.labels if l not in kb.rules}
+            {label_text(l) for l in p.graph.labels if l not in kb.rules}
         )
         if missing:
             report.rejected.append(
-                f"pattern over {[_label_text(l) for l in p.graph.labels]}: "
+                f"pattern over {[label_text(l) for l in p.graph.labels]}: "
                 f"unresolvable labels {missing}"
             )
             continue
@@ -241,7 +227,6 @@ def _pattern_from_doc(entry: Any, path: str, strict: bool) -> FailurePattern:
         )
     except ValueError as exc:
         raise SchemaError(f"{path}.edges", str(exc)) from None
-    _expect(_is_connected(graph), path, "pattern must be connected")
 
     kc = _number(entry.get("knowledge_confidence"), f"{path}.knowledge_confidence")
     if strict:
@@ -347,7 +332,7 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
         support = _number(raw.get("support"), f"{rpath}.support")
         confidence = _number(raw.get("confidence"), f"{rpath}.confidence")
         label = (dim, rid)
-        _expect(label not in rules, rpath, f"duplicate rule {_label_text(label)}")
+        _expect(label not in rules, rpath, f"duplicate rule {label_text(label)}")
         rules[label] = SequenceRule(
             rule_id=rid,
             dim=dim,
@@ -366,7 +351,7 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
             _expect(
                 label in rules,
                 f"$.patterns[{k}]",
-                f"label {_label_text(label)} has no rule",
+                f"label {label_text(label)} has no rule",
             )
         kb.patterns[p.code] = p
     return kb
@@ -425,7 +410,7 @@ def query_root_causes(
     if rule_id is not None:
         label = (dim, rule_id)
         if label not in kb.rules:
-            raise LookupError(f"no rule {_label_text(label)}")
+            raise LookupError(f"no rule {label_text(label)}")
         targets = {label}
     else:
         targets = {

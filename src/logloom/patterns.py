@@ -268,97 +268,6 @@ def _rmpath_indices(code: DfsCode) -> list[int]:
     return rm
 
 
-def subgraph_contains(host: Digraph, pattern: Digraph) -> bool:
-    """Injective monomorphism test: every pattern arc must appear in the
-    host with matching direction and labels; extra host arcs are fine.
-
-    The pattern may be disconnected. Matching is exponential in pattern
-    size in the worst case, which stays small here by construction.
-    """
-    if pattern.n == 0:
-        raise ValueError("pattern is empty")
-    if pattern.n > host.n:
-        return False
-
-    order = _matching_order(pattern)
-    arcs = _arc_map(host)
-    pattern_arcs = _arc_map(pattern)
-    by_label: dict[Hashable, list[int]] = {}
-    for idx, label in enumerate(host.labels):
-        by_label.setdefault(label, []).append(idx)
-
-    assignment: dict[int, int] = {}
-    taken: set[int] = set()
-
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        pv = order[k]
-        checks = [
-            (assignment[pw], da, el)
-            for (pa, pw), (da, el) in pattern_arcs.items()
-            if pa == pv and pw in assignment
-        ]
-        for hv in by_label.get(pattern.labels[pv], ()):
-            if hv in taken:
-                continue
-            if all(arcs.get((hv, hw)) == (da, el) for hw, da, el in checks):
-                assignment[pv] = hv
-                taken.add(hv)
-                if place(k + 1):
-                    return True
-                del assignment[pv]
-                taken.discard(hv)
-        return False
-
-    return place(0)
-
-
-def _matching_order(pattern: Digraph) -> list[int]:
-    """Vertex order where each vertex after its component's first is
-    adjacent to an earlier one, keeping the matcher's frontier connected."""
-    adj = _adjacency(pattern)
-    seen: set[int] = set()
-    order: list[int] = []
-    for start in range(pattern.n):
-        if start in seen:
-            continue
-        queue = [start]
-        seen.add(start)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w, _, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
-
-
-def _as_digraph(g) -> Digraph:
-    return g if isinstance(g, Digraph) else g.digraph()
-
-
-def weighted_support(
-    pattern: Digraph,
-    graphs: Sequence,
-    label_weights: Mapping[Hashable, float],
-) -> tuple[float, float]:
-    """(support, weighted support) of `pattern` over the graph database.
-
-    Support is the fraction of graphs containing the pattern; weighted
-    support scales it by the arithmetic mean of the pattern's node
-    weights, looked up by label.
-    """
-    if not graphs:
-        raise ValueError("graph database is empty")
-    hosts = [_as_digraph(g) for g in graphs]
-    mean_w = statistics.fmean(label_weights[label] for label in pattern.labels)
-    count = sum(1 for h in hosts if subgraph_contains(h, pattern))
-    support = count / len(hosts)
-    return support, support * mean_w
-
-
 @dataclass(frozen=True)
 class FailurePattern:
     """A mined subgraph with its scores; vertex order is canonical."""
@@ -631,33 +540,17 @@ def remove_node(g: Digraph, idx: int) -> Digraph:
     )
 
 
-def pattern_confidence(pattern: FailurePattern, graphs: Sequence, rules) -> float:
-    """Structural confidence: how often the pattern's context completes.
+def structural_confidences(
+    patterns: Sequence[FailurePattern], graphs: Sequence, rules
+) -> list[float]:
+    """Structural confidence of each pattern over window graphs, in order:
+    how often the pattern's context completes.
 
     The consequent is the greatest-labeled sink. Confidence is the count
     of graphs containing the whole pattern over the count containing the
     pattern with the consequent removed; the remainder may fall apart
     into components, which must be embedded jointly. A single-node
     pattern falls back to its rule's own confidence.
-    """
-    g = pattern.graph
-    if g.n == 1:
-        return _rule_map(rules)[g.labels[0]].confidence
-    hosts = [_as_digraph(x) for x in graphs]
-
-    reduced = remove_node(g, consequent_index(g))
-
-    full_count = sum(1 for h in hosts if subgraph_contains(h, g))
-    if full_count == 0:
-        raise ValueError("pattern does not occur in the graph database")
-    reduced_count = sum(1 for h in hosts if subgraph_contains(h, reduced))
-    return full_count / reduced_count
-
-
-def structural_confidences(
-    patterns: Sequence[FailurePattern], graphs: Sequence, rules
-) -> list[float]:
-    """`pattern_confidence` of each pattern over window graphs, in order.
 
     Window graph labels are unique and their edges are keyed by label, so
     a pattern embeds in a window exactly when its labels are distinct and

@@ -25,6 +25,7 @@ from .graphs import (
     Label,
     WindowGraph,
     build_window_graphs,
+    label_text,
     label_weights,
 )
 from .ingest import (
@@ -398,10 +399,9 @@ def read_instances(
             span=_span(raw["span"]),
             node=_typed(raw["node"], "node", str, "a string"),
         )
-        if labels is not None and (inst.dim, inst.rule_id) not in labels:
-            raise ValueError(
-                f"rule {inst.dim.value}:{inst.rule_id} is not in the rules file"
-            )
+        label = (inst.dim, inst.rule_id)
+        if labels is not None and label not in labels:
+            raise ValueError(f"rule {label_text(label)} is not in the rules file")
         return inst
 
     return _read_records(path, build)
@@ -465,8 +465,8 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
 
 
 def read_graphs(path: str | Path) -> list[WindowGraph]:
-    """Window graphs; a window that does not make a WindowGraph is a
-    SchemaError at `$.graphs[i]`."""
+    """Window graphs; a window that does not make a WindowGraph, or makes
+    one that fails `WindowGraph.check()`, is a SchemaError at `$.graphs[i]`."""
     try:
         windows = json.loads(Path(path).read_text(encoding="utf-8"))["graphs"]
     except (KeyError, TypeError, ValueError, RecursionError):
@@ -497,7 +497,9 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
                 for d1, r1, d2, r2, kind in raw["edges"]
             )
             index = _typed(raw["window_index"], "window_index", int, "an integer")
-            out.append(WindowGraph(index, nodes, edges))
+            graph = WindowGraph(index, nodes, edges)
+            graph.check()
+            out.append(graph)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"$.graphs[{i}]", f"{path}: {_fault(exc)}") from None
     return out
@@ -617,7 +619,7 @@ def _top_rules(rules: Sequence[SequenceRule], table: TemplateTable, limit: int =
     for r in ranked[:limit]:
         seq = " -> ".join(table.masked_for(t) for t in r.full_labels)
         lines.append(
-            f"  {r.dim.value}:{r.rule_id} sup={r.support:.4f} conf={r.confidence:.4f} {seq}"
+            f"  {label_text(r.label)} sup={r.support:.4f} conf={r.confidence:.4f} {seq}"
         )
     return lines
 
@@ -629,7 +631,7 @@ def _top_patterns(patterns: Sequence[FailurePattern], limit: int = 10) -> list[s
     )
     lines = []
     for p in ranked[:limit]:
-        nodes = ", ".join(f"{d.value}:{rid}" for d, rid in p.graph.labels)
+        nodes = ", ".join(map(label_text, p.graph.labels))
         lines.append(
             f"  [{nodes}] sup={p.support:.4f} ws={p.weighted_support:.4f} "
             f"kc={p.knowledge_confidence:.4f}"

@@ -3,6 +3,10 @@
 Everything here favors obviousness over speed: supports are counted by
 materializing every window, canonical codes by enumerating every DFS
 traversal, containment by trying every injective vertex mapping.
+`subgraph_contains`, `weighted_support` and `pattern_confidence` score
+patterns by a backtracking containment search over every host, the way
+support and structural confidence are defined; the miner and
+`structural_confidences` count them without a search.
 Messages are masked by the four regex passes as first written. The
 interchange files are written by building their JSON documents and
 handing them to `json.dumps`.
@@ -15,9 +19,10 @@ import json
 import re
 from pathlib import Path
 from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from logloom import CanonicalEvent, Digraph, RuleInstance, WindowGraph
+from logloom import CanonicalEvent, Digraph, FailurePattern, RuleInstance, WindowGraph
+from logloom.patterns import _adjacency, _arc_map, _rule_map, consequent_index, remove_node
 from logloom.synth import write_jsonl
 
 
@@ -108,13 +113,13 @@ def brute_minimal_instances(
     return sorted(((s, e) for (s, e) in minimal if e - s <= window), key=lambda p: p[1])
 
 
-def _arc_map(g: Digraph) -> dict[tuple[int, int], str]:
+def _arc_labels(g: Digraph) -> dict[tuple[int, int], str]:
     return {(u, v): el for u, v, el in g.edges}
 
 
 def brute_contains(host: Digraph, pattern: Digraph) -> bool:
     """Injective label-preserving arc-preserving embedding, all mappings."""
-    host_arcs = _arc_map(host)
+    host_arcs = _arc_labels(host)
     for chosen in itertools.permutations(range(host.n), pattern.n):
         if any(host.labels[h] != pattern.labels[p] for p, h in enumerate(chosen)):
             continue
@@ -140,7 +145,7 @@ def brute_min_code(g: Digraph):
     fixed tree, so the minimum over traversals is the canonical code.
     """
     n = g.n
-    arcs = _arc_map(g)
+    arcs = _arc_labels(g)
     neighbors: dict[int, set[int]] = {i: set() for i in range(n)}
     for u, v, _ in g.edges:
         neighbors[u].add(v)
@@ -253,6 +258,122 @@ def _weakly_connected(g: Digraph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
+
+
+def subgraph_contains(host: Digraph, pattern: Digraph) -> bool:
+    """Injective monomorphism test: every pattern arc must appear in the
+    host with matching direction and labels; extra host arcs are fine.
+
+    The pattern may be disconnected. Matching is exponential in pattern
+    size in the worst case, which stays small here by construction.
+    """
+    if pattern.n == 0:
+        raise ValueError("pattern is empty")
+    if pattern.n > host.n:
+        return False
+
+    order = _matching_order(pattern)
+    arcs = _arc_map(host)
+    pattern_arcs = _arc_map(pattern)
+    by_label: dict[Hashable, list[int]] = {}
+    for idx, label in enumerate(host.labels):
+        by_label.setdefault(label, []).append(idx)
+
+    assignment: dict[int, int] = {}
+    taken: set[int] = set()
+
+    def place(k: int) -> bool:
+        if k == len(order):
+            return True
+        pv = order[k]
+        checks = [
+            (assignment[pw], da, el)
+            for (pa, pw), (da, el) in pattern_arcs.items()
+            if pa == pv and pw in assignment
+        ]
+        for hv in by_label.get(pattern.labels[pv], ()):
+            if hv in taken:
+                continue
+            if all(arcs.get((hv, hw)) == (da, el) for hw, da, el in checks):
+                assignment[pv] = hv
+                taken.add(hv)
+                if place(k + 1):
+                    return True
+                del assignment[pv]
+                taken.discard(hv)
+        return False
+
+    return place(0)
+
+
+def _matching_order(pattern: Digraph) -> list[int]:
+    """Vertex order where each vertex after its component's first is
+    adjacent to an earlier one, keeping the matcher's frontier connected."""
+    adj = _adjacency(pattern)
+    seen: set[int] = set()
+    order: list[int] = []
+    for start in range(pattern.n):
+        if start in seen:
+            continue
+        queue = [start]
+        seen.add(start)
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for w, _, _ in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return order
+
+
+def _as_digraph(g) -> Digraph:
+    return g if isinstance(g, Digraph) else g.digraph()
+
+
+def weighted_support(
+    pattern: Digraph,
+    graphs: Sequence,
+    label_weights: Mapping[Hashable, float],
+) -> tuple[float, float]:
+    """(support, weighted support) of `pattern` over the graph database.
+
+    Support is the fraction of graphs containing the pattern; weighted
+    support scales it by the arithmetic mean of the pattern's node
+    weights, looked up by label.
+    """
+    if not graphs:
+        raise ValueError("graph database is empty")
+    hosts = [_as_digraph(g) for g in graphs]
+    mean_w = fmean(label_weights[label] for label in pattern.labels)
+    count = sum(1 for h in hosts if subgraph_contains(h, pattern))
+    support = count / len(hosts)
+    return support, support * mean_w
+
+
+def pattern_confidence(pattern: FailurePattern, graphs: Sequence, rules) -> float:
+    """Structural confidence: how often the pattern's context completes.
+
+    The consequent is the greatest-labeled sink. Confidence is the count
+    of graphs containing the whole pattern over the count containing the
+    pattern with the consequent removed; the remainder may fall apart
+    into components, which must be embedded jointly. A single-node
+    pattern falls back to its rule's own confidence.
+    """
+    g = pattern.graph
+    if g.n == 1:
+        return _rule_map(rules)[g.labels[0]].confidence
+    hosts = [_as_digraph(x) for x in graphs]
+
+    reduced = remove_node(g, consequent_index(g))
+
+    full_count = sum(1 for h in hosts if subgraph_contains(h, g))
+    if full_count == 0:
+        raise ValueError("pattern does not occur in the graph database")
+    reduced_count = sum(1 for h in hosts if subgraph_contains(h, reduced))
+    return full_count / reduced_count
+
+
 
 
 def reference_write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:

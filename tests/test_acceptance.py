@@ -35,7 +35,6 @@ from logloom import (
     query_root_causes,
     run_pipeline,
     scenario_from_dict,
-    weighted_support,
 )
 from logloom.pipeline import ingest_stage, read_graphs
 from logloom.synth import write_jsonl
@@ -45,6 +44,7 @@ from _oracles import (
     brute_isomorphic,
     brute_pattern_universe,
     _weakly_connected,
+    weighted_support,
 )
 from conftest import random_connected_digraph, relabel, trace
 

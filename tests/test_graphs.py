@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from logloom import (
     Dimension,
@@ -10,6 +12,8 @@ from logloom import (
     rule_weight,
     window_graph_to_dot,
 )
+from logloom.graphs import WEIGHT_MODES
+from logloom.pipeline import read_graphs, write_graphs
 
 
 def _rule(rule_id, dim=Dimension.EVENT, support=0.5, confidence=0.8):
@@ -129,6 +133,67 @@ class TestBuildWindowGraphs:
         forward = build_window_graphs(instances, RULES, cfg)
         shuffled = build_window_graphs(list(reversed(instances)), RULES, cfg)
         assert forward == shuffled
+
+
+LABELS = [(dim, rid) for dim in (Dimension.EVENT, Dimension.STATUS) for rid in range(3)]
+LABEL_RULES = [
+    _rule(rid, dim, support=0.5 ** (rid + 1), confidence=0.9 - 0.1 * k)
+    for k, (dim, rid) in enumerate(LABELS)
+]
+
+
+@st.composite
+def built_inputs(draw):
+    """Instances over six labels and two cluster nodes. Anchors fall on
+    multiples of max_lag and of corr_window as often as between them, so
+    a bucket repeats labels, labels share anchors, lags equal max_lag and
+    anchors sit on window boundaries."""
+    window = draw(st.sampled_from([1.0, 7.5, 60.0, 300.0]))
+    fraction = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0))
+    config = GraphConfig(window, window * fraction, draw(st.sampled_from(WEIGHT_MODES)))
+    anchors = st.one_of(
+        st.integers(0, 8).map(lambda k: k * config.max_lag),
+        st.integers(0, 3).map(lambda k: k * window),
+        st.floats(0, 3 * window),
+    )
+    instances = draw(st.lists(st.builds(
+        lambda label, anchor, node: _inst(label[1], anchor, node, label[0]),
+        st.sampled_from(LABELS), anchors, st.sampled_from(["a", "b"]),
+    ), max_size=12))
+    return instances, config
+
+
+# One input with each case named in built_inputs: E0 twice in window 0,
+# E0 and E1 both at 0, S0 exactly max_lag after them, S1 on the boundary
+# of window 1, and a non-integral anchor.
+EVERY_CASE = (
+    [_inst(0, 0.0, "a"), _inst(0, 20.5, "b"), _inst(1, 0.0, "b"),
+     _inst(0, 50.0, "a", Dimension.STATUS), _inst(1, 100.0, "b", Dimension.STATUS),
+     _inst(2, 137.25, "a")],
+    GraphConfig(corr_window=100.0, max_lag=50.0),
+)
+
+
+class TestBuiltGraphsAreValid:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=built_inputs())
+    @example(case=EVERY_CASE)
+    def test_pass_check_and_round_trip(self, tmp_path, case):
+        instances, config = case
+        built = build_window_graphs(instances, LABEL_RULES, config)
+        for g in built:
+            g.check()
+        write_graphs(built, tmp_path / "graphs.json")
+        assert read_graphs(tmp_path / "graphs.json") == built
+
+    def test_every_case_is_built(self):
+        instances, config = EVERY_CASE
+        g0, g1 = build_window_graphs(instances, LABEL_RULES, config)
+        assert (g0.window_index, g1.window_index) == (0, 1)
+        assert {gn.label for gn in g0.nodes} == {E0, E1, S0}
+        assert g0.edges == {(E0, S0, "same"), (E1, S0, "cross")}
+        assert {gn.anchor for gn in g1.nodes} == {100.0, 137.25}
 
 
 class TestDot:
