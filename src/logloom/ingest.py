@@ -10,6 +10,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -92,6 +93,45 @@ class CanonicalEvent:
         return (self.ts, self.node, self.dim.rank, self.template)
 
 
+# Trusted constructors for fields their caller has already checked. They
+# set each slot through its member descriptor, which skips the frozen
+# `__setattr__` and `__post_init__`; the objects equal and hash as the
+# public constructors' do.
+_new = object.__new__
+_set_record_ts = LogRecord.ts.__set__
+_set_record_node = LogRecord.node.__set__
+_set_record_dim = LogRecord.dim.__set__
+_set_record_msg = LogRecord.msg.__set__
+_set_event_ts = CanonicalEvent.ts.__set__
+_set_event_node = CanonicalEvent.node.__set__
+_set_event_dim = CanonicalEvent.dim.__set__
+_set_event_template = CanonicalEvent.template.__set__
+_set_event_count = CanonicalEvent.count.__set__
+
+
+def _log_record(ts: float, node: str, dim: Dimension | None, msg: str) -> LogRecord:
+    """`LogRecord(ts, node, dim, msg)` for `ts >= 0` and a non-empty `node`."""
+    record = _new(LogRecord)
+    _set_record_ts(record, ts)
+    _set_record_node(record, node)
+    _set_record_dim(record, dim)
+    _set_record_msg(record, msg)
+    return record
+
+
+def _canonical_event(
+    ts: float, node: str, dim: Dimension, template: int, count: int
+) -> CanonicalEvent:
+    """`CanonicalEvent(ts, node, dim, template, count)` for `count >= 1`."""
+    event = _new(CanonicalEvent)
+    _set_event_ts(event, ts)
+    _set_event_node(event, node)
+    _set_event_dim(event, dim)
+    _set_event_template(event, template)
+    _set_event_count(event, count)
+    return event
+
+
 @dataclass(frozen=True)
 class RejectEntry:
     line_no: int
@@ -113,9 +153,14 @@ class ParseError(Exception):
         self.rejects = rejects or []
 
 
-# Masking rules, applied in this order. HEX runs before NUM, so any
-# word-bounded token of four or more hex digits is masked <HEX> even when
-# it happens to be pure decimal.
+# Masking rules. Templates are as if IP, HEX, PATH and NUM ran in that
+# order. HEX runs before NUM, so any word-bounded token of four or more
+# hex digits is masked <HEX> even when it happens to be pure decimal.
+#
+# The code runs PATH first. A PATH match depends only on a `/` and the
+# whitespace before it, IP and HEX neither create nor remove whitespace
+# or `/`, and <PATH> swallows whatever they would mask inside its token,
+# so the result is the same and IP and HEX scan less text.
 #
 # Each pattern starts with a character class and checks the character
 # before the match in a lookbehind just after that class, so the regex
@@ -131,6 +176,17 @@ _NUM_RE = re.compile(r"\d+")
 
 EMPTY_TEMPLATE = "<EMPTY>"
 
+# Messages masked by one pass of the chain in `canonicalize`. Small
+# chunks keep the joined text, and so peak memory, small.
+_CHUNK = 512
+
+
+def _mask_chain(text: str) -> str:
+    text = _PATH_RE.sub("<PATH>", text)
+    text = _IP_RE.sub("<IP>", text)
+    text = _HEX_RE.sub("<HEX>", text)
+    return _NUM_RE.sub("<NUM>", text)
+
 
 def mask_message(msg: str) -> str:
     """Replace volatile fields with placeholder tokens.
@@ -140,11 +196,21 @@ def mask_message(msg: str) -> str:
     """
     if msg == "":
         return EMPTY_TEMPLATE
-    masked = _IP_RE.sub("<IP>", msg)
-    masked = _HEX_RE.sub("<HEX>", masked)
-    masked = _PATH_RE.sub("<PATH>", masked)
-    masked = _NUM_RE.sub("<NUM>", masked)
-    return masked
+    return _mask_chain(msg)
+
+
+def _mask_messages(msgs: list[str]) -> list[str]:
+    """`[mask_message(m) for m in msgs]`, by one pass of the chain.
+
+    A newline is a string boundary to every mask and no mask matches
+    across one, so masking the messages joined by newlines and splitting
+    the result masks each message on its own. When a message holds a
+    newline itself, the split count tells, and each is masked alone.
+    """
+    masked = _mask_chain("\n".join(msgs)).split("\n")
+    if len(masked) != len(msgs):
+        return [mask_message(msg) for msg in msgs]
+    return [text or EMPTY_TEMPLATE for text in masked]
 
 
 class TemplateTable:
@@ -375,7 +441,7 @@ def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[Log
             dim = dimension(raw_dim)
         except ValueError:
             return None, f"unknown dimension: {raw_dim!r}"
-    return LogRecord(float(ts), node, dim, msg), ""
+    return _log_record(float(ts), node, dim, msg), ""
 
 
 def canonicalize(
@@ -392,12 +458,22 @@ def canonicalize(
     """
     events: list[CanonicalEvent] = []
     rejects: list[RejectEntry] = []
-    for pos, record in enumerate(records, start=1):
-        dim = record.dim if record.dim is not None else dim_default
-        if dim is None:
-            rejects.append(RejectEntry(pos, "record has no dimension", record.msg))
-            continue
-        tid = extract_template(record.msg, table)
-        events.append(CanonicalEvent(record.ts, record.node, dim, tid))
+    id_for = table.id_for
+    records = iter(records)
+    pos = 0
+    while chunk := list(islice(records, _CHUNK)):
+        kept: list[tuple[LogRecord, Dimension]] = []
+        for record in chunk:
+            pos += 1
+            dim = record.dim if record.dim is not None else dim_default
+            if dim is None:
+                rejects.append(RejectEntry(pos, "record has no dimension", record.msg))
+            else:
+                kept.append((record, dim))
+        masked = _mask_messages([record.msg for record, _ in kept])
+        events += [
+            _canonical_event(record.ts, record.node, dim, id_for(text), 1)
+            for (record, dim), text in zip(kept, masked)
+        ]
     events.sort(key=lambda e: e.sort_key)
     return events, rejects

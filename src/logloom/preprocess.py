@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .ingest import CanonicalEvent
+from .ingest import CanonicalEvent, _canonical_event
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,9 @@ def coalesce(events: Sequence[CanonicalEvent], policy: CoalescePolicy) -> list[C
         idx = last_kept.get(key)
         if idx is not None and ev.ts - kept[idx].ts <= policy.gap:
             rep = kept[idx]
-            kept[idx] = replace(rep, count=rep.count + ev.count)
+            kept[idx] = _canonical_event(
+                rep.ts, rep.node, rep.dim, rep.template, rep.count + ev.count
+            )
         else:
             last_kept[key] = len(kept)
             kept.append(ev)

@@ -7,7 +7,8 @@ traversal, containment by trying every injective vertex mapping.
 patterns by a backtracking containment search over every host, the way
 support and structural confidence are defined; the miner and
 `structural_confidences` count them without a search.
-Messages are masked by the four regex passes as first written. The
+Messages are masked by the four regex passes as first written, and
+canonicalized one record at a time through the public constructors. The
 interchange files are written by building their JSON documents and
 handing them to `json.dumps`.
 """
@@ -21,7 +22,17 @@ from pathlib import Path
 from statistics import fmean
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from logloom import CanonicalEvent, Digraph, FailurePattern, RuleInstance, WindowGraph
+from logloom import (
+    CanonicalEvent,
+    Digraph,
+    Dimension,
+    FailurePattern,
+    LogRecord,
+    RejectEntry,
+    RuleInstance,
+    TemplateTable,
+    WindowGraph,
+)
 from logloom.patterns import _adjacency, _arc_map, _rule_map, consequent_index, remove_node
 from logloom.synth import write_jsonl
 
@@ -43,6 +54,23 @@ def reference_mask(msg: str) -> str:
     masked = _PATH_RE.sub("<PATH>", masked)
     masked = _NUM_RE.sub("<NUM>", masked)
     return masked
+
+
+def reference_canonicalize(
+    records: Iterable[LogRecord], table: TemplateTable, dim_default: Dimension | None = None
+) -> tuple[list[CanonicalEvent], list[RejectEntry]]:
+    """Mask and register each record in turn, then sort the events."""
+    events: list[CanonicalEvent] = []
+    rejects: list[RejectEntry] = []
+    for pos, record in enumerate(records, start=1):
+        dim = record.dim if record.dim is not None else dim_default
+        if dim is None:
+            rejects.append(RejectEntry(pos, "record has no dimension", record.msg))
+            continue
+        tid = table.id_for(reference_mask(record.msg))
+        events.append(CanonicalEvent(record.ts, record.node, dim, tid))
+    events.sort(key=lambda e: e.sort_key)
+    return events, rejects
 
 
 def _is_subsequence(needle: Sequence[int], hay: Sequence[int]) -> bool:

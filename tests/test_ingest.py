@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import json
+import math
 
 import pytest
-from _oracles import reference_mask
-from hypothesis import given
+from _oracles import reference_canonicalize, reference_mask
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logloom import (
@@ -18,7 +20,8 @@ from logloom import (
     mask_message,
     parse_lines,
 )
-from logloom.ingest import decode_json_line
+from logloom import ingest
+from logloom.ingest import _CHUNK, _canonical_event, _log_record, decode_json_line
 from logloom.pipeline import read_events
 
 # Messages built from pieces at the edges of the four masks: hex runs
@@ -33,6 +36,26 @@ _MASK_PIECES = st.one_of(
     st.sampled_from(["1.2.3.4", "255.255.0.10", "1.2.3", "/var/run", " /", "decade"]),
 )
 _MASK_MESSAGES = st.lists(_MASK_PIECES, max_size=12).map("".join)
+
+# Messages at the edges of masking a chunk of them joined by newlines:
+# newlines inside a message, the empty message, the separators that
+# str.splitlines also splits on, a non-ASCII digit and a lone surrogate.
+_CHUNK_MESSAGES = st.one_of(
+    _MASK_MESSAGES,
+    st.lists(
+        st.sampled_from(
+            ["\n", "\x1c", "\x1d", "\x1e", "\x1f", "٣", "\ud800", " ", "/a", "12", "0xbeef", "1.2.3.4"]
+        ),
+        max_size=6,
+    ).map("".join),
+)
+_RECORDS = st.builds(
+    LogRecord,
+    ts=st.integers(0, 5).map(float),
+    node=st.sampled_from(["a", "b"]),
+    dim=st.sampled_from([None, *Dimension]),
+    msg=_CHUNK_MESSAGES,
+)
 
 
 class TestDimension:
@@ -97,6 +120,12 @@ class TestMasking:
         assert mask_message(msg) == reference_mask(msg)
 
     @given(st.text(max_size=200))
+    # inputs where the order of the masks could matter
+    @example("/1.2.3.4")
+    @example("1.2.3.4/x")
+    @example("abc1.2.3.4")
+    @example("x /dead 0x12345")
+    @example("a\n/abcd")
     def test_equals_reference_chain(self, msg):
         assert mask_message(msg) == reference_mask(msg)
 
@@ -352,6 +381,53 @@ class TestCanonicalize:
         assert keyed(forward) == keyed(backward)
 
 
+# Where drawn records land among the filler: anywhere, or next to a chunk
+# edge, the last record included (-1).
+_POSITIONS = st.integers(-3, 3) | st.integers(_CHUNK - 3, _CHUNK + 3) | st.integers(min_value=0)
+
+
+class TestCanonicalizeChunks:
+    """canonicalize masks a chunk of messages per pass of the mask chain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_POSITIONS, _RECORDS), max_size=12),
+        st.integers(_CHUNK + 1, 2 * _CHUNK + 8),
+        st.none() | st.sampled_from(Dimension),
+    )
+    # a chunk that ends in "" and holds a message str.splitlines splits
+    @example(
+        [(_CHUNK - 2, LogRecord(0.0, "a", None, "x\x1cy")), (_CHUNK - 1, LogRecord(0.0, "a", None, ""))],
+        _CHUNK + 1,
+        Dimension.COMM,
+    )
+    def test_equals_reference(self, placed, n, dim_default):
+        words = ["boot", "disk 7 full", "fan /dev/x", "link 10.0.0.1 down", "decade"]
+        records = [
+            LogRecord(float(i % 11), "n", Dimension.EVENT, f"{words[i % 5]} {i}") for i in range(n)
+        ]
+        for pos, record in placed:
+            records[pos % n] = record
+        table, ref_table = TemplateTable(), TemplateTable()
+        got = canonicalize(records, table, dim_default)
+        assert got == reference_canonicalize(records, ref_table, dim_default)
+        assert list(table) == list(ref_table)
+
+    def test_masks_a_chunk_per_chain_pass(self, monkeypatch):
+        calls = {"chain": 0}
+        chain = ingest._mask_chain
+
+        def counting_chain(text):
+            calls["chain"] += 1
+            return chain(text)
+
+        monkeypatch.setattr(ingest, "_mask_chain", counting_chain)
+        records = [LogRecord(float(i), "a", Dimension.EVENT, f"job {i} done") for i in range(2000)]
+        events, _ = canonicalize(records, TemplateTable())
+        assert len(events) == 2000
+        assert calls["chain"] <= math.ceil(2000 / _CHUNK) + 1
+
+
 class TestCanonicalEvent:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
@@ -362,3 +438,17 @@ class TestCanonicalEvent:
             LogRecord(-1.0, "a", Dimension.EVENT, "x")
         with pytest.raises(ValueError):
             LogRecord(1.0, "", Dimension.EVENT, "x")
+
+    def test_trusted_constructors_equal_public(self):
+        pairs = [
+            (_log_record(1.5, "a", None, "x"), LogRecord(1.5, "a", None, "x")),
+            (
+                _canonical_event(1.5, "a", Dimension.RAS, 3, 2),
+                CanonicalEvent(1.5, "a", Dimension.RAS, 3, count=2),
+            ),
+        ]
+        for trusted, public in pairs:
+            assert trusted == public
+            assert hash(trusted) == hash(public)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trusted.ts = 2.0
