@@ -1,13 +1,15 @@
 """Command line driver.
 
-Exit codes: 0 success, 1 usage errors, 2 unreadable or unparseable
-input (including streams with a majority of rejected lines), 3 invalid
-configuration or schema-invalid documents.
+Exit codes: 0 success (also when the reader of standard output closes
+it early), 1 usage errors, 2 unreadable or unparseable input (including
+streams with a majority of rejected lines), 3 invalid configuration or
+schema-invalid documents.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -366,7 +368,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`logloom query ... | head`), which
+        # is not an error. Point fd 1 at devnull so that the interpreter's
+        # final flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

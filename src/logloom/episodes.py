@@ -5,13 +5,17 @@ all windows of width W (on the granularity grid) that contain at least
 one ordered occurrence of its template sequence. Rules are episodes read
 as prefix-implies-last, and instances are the minimal occurrences of a
 rule's full sequence. Support and instances both come from one scan,
-`_occurrences`, so counting costs O(events x length), not O(ticks).
+`_completions`, which walks the stream once for many sequences: a whole
+candidate level per pass when mining (after Mannila, Toivonen &
+Verkamo, DMKD 1997), and all of a dimension's rules per pass when
+finding instances. A pass costs events times slots per template, not
+O(ticks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .ingest import CanonicalEvent, Dimension
 
@@ -72,67 +76,94 @@ def _window_ticks(window: float, granularity: float) -> int:
     return w_ticks
 
 
-def _occurrences(
-    seq: Sequence[int], events: Sequence[CanonicalEvent]
-) -> list[tuple[float, float, str]]:
-    """Occurrences of `seq` that raise the latest start, in stream order.
+def _completions(
+    sequences: Sequence[Sequence[int]], events: Iterable[CanonicalEvent]
+) -> Iterator[tuple[int, float, float, str]]:
+    """Occurrences of many sequences that raise their latest start, in one pass.
 
-    best[i] is the latest start timestamp of an occurrence of seq[:i]
-    among the events seen so far. Each event that completes `seq` with a
-    later start than any before yields (start, end, node), so starts
-    strictly increase and ends never decrease along the list. Every
-    other occurrence contains one of these: same or later end, same or
-    earlier start.
+    The slot of sequence i at position p holds the latest start
+    timestamp of an occurrence of sequences[i][:p + 1] among the events
+    seen so far. Each template indexes its slots, a sequence's positions
+    in descending order so that a repeated label reads the state from
+    before this event. Each event that completes sequence i with a later
+    start than any before yields (i, start, end, node), so per sequence
+    starts strictly increase and ends never decrease. Every other
+    occurrence contains one of these: same or later end, same or earlier
+    start. The cost is events times slots per template.
     """
-    k = len(seq)
-    if k == 0:
-        raise ValueError("sequence must be non-empty")
-    best = [float("-inf")] * (k + 1)
-    out: list[tuple[float, float, str]] = []
+    best: list[float] = []
+    slots: dict[int, list[tuple[int, int, int]]] = {}
+    for i, seq in enumerate(sequences):
+        k = len(seq)
+        if k == 0:
+            raise ValueError("sequence must be non-empty")
+        base = len(best)
+        best.extend([float("-inf")] * k)
+        for p in range(k - 1, -1, -1):
+            # (state slot, slot of the prefix one shorter or -1, sequence
+            # completed here or -1)
+            slots.setdefault(seq[p], []).append(
+                (base + p, base + p - 1 if p else -1, i if p == k - 1 else -1)
+            )
     for ev in events:
-        for i in range(k, 0, -1):
-            if seq[i - 1] != ev.template:
-                continue
-            cand = ev.ts if i == 1 else best[i - 1]
-            if cand > best[i]:
-                best[i] = cand
-                if i == k:
-                    out.append((cand, ev.ts, ev.node))
-    return out
+        for cur, prev, done in slots.get(ev.template, ()):
+            cand = ev.ts if prev < 0 else best[prev]
+            if cand > best[cur]:
+                best[cur] = cand
+                if done >= 0:
+                    yield done, cand, ev.ts, ev.node
+
+
+def _label_completions(
+    events: Iterable[CanonicalEvent],
+) -> Iterator[tuple[int, float, float, str]]:
+    """`_completions` of every one-label sequence, keyed by the label:
+    each event later than the last one of its template."""
+    latest: dict[int, float] = {}
+    for ev in events:
+        if ev.ts > latest.get(ev.template, float("-inf")):
+            latest[ev.template] = ev.ts
+            yield ev.template, ev.ts, ev.ts, ev.node
 
 
 def _support_counter(
     events: Sequence[CanonicalEvent], window: float, granularity: float
-) -> Callable[[Sequence[int]], float]:
-    """Window support of label sequences over a fixed stream.
+) -> Callable[[Iterable[tuple[int, float, float, str]]], dict[int, float]]:
+    """Window supports over a fixed stream, from a pass of completions.
 
     Timestamps are quantized to ticks of `granularity` seconds. Windows
     are the half-open tick ranges [t, t + W) for every integer t from
     t_min - W + 1 through t_max, which is exactly the set of windows
     intersecting the trace; their number is t_max - t_min + W. An
     occurrence from tick s to tick e lies in exactly the windows whose
-    start is in [e - W + 1, s], so the covered windows are the union of
-    those ranges over `_occurrences`, one running-maximum pass since
-    both ends never decrease.
+    start is in [e - W + 1, s], so a sequence's covered windows are the
+    union of those ranges over its completions, one running maximum per
+    sequence since both ends never decrease. The returned function
+    counts every sequence of one pass at once, so a whole candidate
+    level costs one pass over the stream, of events times slots per
+    template; sequences that cover no window are left out of its result.
     """
     if not events:
         raise EmptyDimensionError("no events in dimension")
     w_ticks = _window_ticks(window, granularity)
     t_min = int(events[0].ts // granularity)
     total = int(events[-1].ts // granularity) - t_min + w_ticks
+    floor = t_min - w_ticks
 
-    def support(seq: Sequence[int]) -> float:
-        covered = 0
-        last = t_min - w_ticks  # highest window start counted so far
-        for s, e, _ in _occurrences(seq, events):
+    def supports(
+        completions: Iterable[tuple[int, float, float, str]],
+    ) -> dict[int, float]:
+        covered: dict[int, int] = {}
+        last: dict[int, int] = {}  # highest window start counted so far
+        for key, s, e, _ in completions:
             hi = int(s // granularity)
-            lo = max(int(e // granularity) - w_ticks + 1, last + 1)
+            lo = max(int(e // granularity) - w_ticks + 1, last.get(key, floor) + 1)
             if hi >= lo:
-                covered += hi - lo + 1
-                last = hi
-        return covered / total
+                covered[key] = covered.get(key, 0) + hi - lo + 1
+                last[key] = hi
+        return {key: c / total for key, c in covered.items()}
 
-    return support
+    return supports
 
 
 def count_window_support(
@@ -145,7 +176,8 @@ def count_window_support(
 
     `events` must be one dimension's slice of the canonical stream, sorted.
     """
-    return _support_counter(events, window, granularity)(labels)
+    supports = _support_counter(events, window, granularity)
+    return supports(_completions([labels], events)).get(0, 0.0)
 
 
 def mine_episodes(
@@ -159,43 +191,36 @@ def mine_episodes(
 
     Candidates of length k+1 join frequent episodes whose labels overlap
     on k-1 elements (a[1:] == b[:-1]), which is complete because window
-    support is anti-monotone under subsequences. Output is sorted by
+    support is anti-monotone under subsequences. Each level, the first
+    included, is counted in one pass over `events`. Output is sorted by
     (length, labels) and closed under prefixes.
     """
     if not 0 < min_sup <= 1:
         raise ValueError("min_sup must be in (0, 1]")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    support = _support_counter(events, window, granularity)
+    supports = _support_counter(events, window, granularity)
     dim = events[0].dim
 
-    episodes: list[Episode] = []
-    seen = sorted({ev.template for ev in events})
-    frequent: list[tuple[int, ...]] = []
-    supports: dict[tuple[int, ...], float] = {}
-    for label in seen:
-        seq = (label,)
-        sup = support(seq)
-        if sup >= min_sup:
-            frequent.append(seq)
-            supports[seq] = sup
-
+    frequent: dict[tuple[int, ...], float] = {
+        (label,): sup
+        for label, sup in supports(_label_completions(events)).items()
+        if sup >= min_sup
+    }
     level = list(frequent)
     while level and len(level[0]) < k_max:
         candidates = sorted(
             {a + (b[-1],) for a in level for b in level if a[1:] == b[:-1]}
         )
-        nxt: list[tuple[int, ...]] = []
-        for seq in candidates:
-            sup = support(seq)
+        found = supports(_completions(candidates, events))
+        level = []
+        for i, seq in enumerate(candidates):
+            sup = found.get(i, 0.0)
             if sup >= min_sup:
-                nxt.append(seq)
-                supports[seq] = sup
-        frequent.extend(nxt)
-        level = nxt
+                level.append(seq)
+                frequent[seq] = sup
 
-    for seq in frequent:
-        episodes.append(Episode(seq, dim, supports[seq]))
+    episodes = [Episode(seq, dim, sup) for seq, sup in frequent.items()]
     episodes.sort(key=lambda e: (len(e.labels), e.labels))
     return episodes
 
@@ -238,25 +263,30 @@ def derive_rules(episodes: Iterable[Episode], min_conf: float) -> list[SequenceR
 
 
 def find_instances(
-    rule: SequenceRule, events: Sequence[CanonicalEvent], window: float
+    rules: Sequence[SequenceRule], events: Iterable[CanonicalEvent], window: float
 ) -> list[RuleInstance]:
-    """Locate the minimal occurrences of the rule's full label sequence.
+    """Locate the minimal occurrences of each rule's full label sequence.
 
-    An occurrence interval [s, e] is minimal when no proper sub-interval
-    also contains an occurrence; minimal intervals never nest, so the
+    `rules` are one dimension's rules and `events` that dimension's
+    stream; one pass over the stream serves every rule. An occurrence
+    interval [s, e] is minimal when no proper sub-interval also contains
+    an occurrence; minimal intervals never nest, so each rule's
     instances come out with strictly increasing anchors. Occurrences
     wider than `window` seconds (raw timestamps, inclusive) are dropped.
     The instance's node is the node of the event completing the match.
+    The result lists the instances rule by rule, in the order of `rules`.
     """
-    minimal: list[tuple[float, float, str]] = []
-    for s, e, node in _occurrences(rule.full_labels, events):
-        if minimal and minimal[-1][1] == e:
-            minimal[-1] = (s, e, node)
+    minimal: list[list[tuple[float, float, str]]] = [[] for _ in rules]
+    for i, s, e, node in _completions([rule.full_labels for rule in rules], events):
+        found = minimal[i]
+        if found and found[-1][1] == e:
+            found[-1] = (s, e, node)
         else:
-            minimal.append((s, e, node))
+            found.append((s, e, node))
 
     return [
         RuleInstance(rule.rule_id, rule.dim, anchor=e, span=(s, e), node=node)
-        for s, e, node in minimal
+        for rule, found in zip(rules, minimal)
+        for s, e, node in found
         if e - s <= window
     ]

@@ -157,7 +157,9 @@ def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
     the traversals that emitted the smallest next entry. Traversals that
     strand an arc off the rightmost path are dropped early; they can
     never finish, and any entry they offer is offered by a surviving
-    traversal as well.
+    traversal as well. In a connected graph of two or more vertices
+    every vertex has an arc, so the first entry is a forward arc from a
+    least-labelled vertex, and only those vertices start a traversal.
     """
     n = g.n
     if n == 0:
@@ -169,7 +171,10 @@ def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
         return ((0, 0, label, 0, None, label),), (0,)
 
     adj = _adjacency(g)
-    states = [_State((v,), (v,), frozenset()) for v in range(n)]
+    least = min(g.labels)
+    states = [
+        _State((v,), (v,), frozenset()) for v in range(n) if g.labels[v] == least
+    ]
     code: list[CodeEntry] = []
     for _ in range(len(g.edges)):
         branches: list[tuple[CodeEntry, _State]] = []

@@ -544,8 +544,7 @@ def mine_rules_stage(
         )
         dim_rules = derive_rules(episodes, cfg.min_conf)
         rules.extend(dim_rules)
-        for rule in dim_rules:
-            instances.extend(find_instances(rule, dim_events, cfg.window))
+        instances.extend(find_instances(dim_rules, dim_events, cfg.window))
     instances.sort(key=lambda i: (i.anchor, i.dim.rank, i.rule_id, i.node))
     return rules, instances
 

@@ -525,6 +525,55 @@ class TestQuery:
         kb = workdir / "run" / "kb.json"
         assert main(["query", "--kb", str(kb), "--target", "status:7"]) == 3
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
+        """`python -m logloom query ... | head -1`: the reader closes the
+        pipe while most of the table is unwritten, and the command still
+        exits 0 with nothing on stderr."""
+        n = 5000  # about 70 bytes a row: several 64 KiB pipe buffers
+        rule = {"antecedent": [], "consequent": 0, "support": 1.0, "confidence": 1.0}
+        doc = {
+            "version": 1,
+            "metadata": {},
+            "templates": [[0, "t"]],
+            "rules": [{**rule, "dim": "event", "rule_id": i} for i in range(n)]
+            + [{**rule, "dim": "status", "rule_id": 0}],
+            "patterns": [
+                {
+                    "nodes": [[0, "event", i, 1.0], [1, "status", 0, 1.0]],
+                    "edges": [[0, 1, "cross"]],
+                    "support": 1.0,
+                    "weighted_support": 1.0,
+                    "structural_confidence": 1.0,
+                    "knowledge_confidence": 1.0,
+                    "provenance": ["mined"],
+                }
+                for i in range(n)
+            ],
+        }
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc), encoding="utf-8")
+        src = Path(logloom.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "logloom", "query", "--kb", str(kb), "--target", "status:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith(b"rank")
+        assert (code, err) == (0, b"")
+
 
 class TestExport:
     def test_document_round_trip_bytes(self, workdir, capsys):

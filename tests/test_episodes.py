@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logloom import (
@@ -17,6 +17,16 @@ from logloom.episodes import Episode, InternalConsistencyError
 
 from _oracles import brute_episodes, brute_minimal_instances, brute_window_support
 from conftest import trace
+
+
+class _CountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
 
 
 def _random_trace(rng, max_events=50, alphabet=4, span=40, tied=False):
@@ -118,6 +128,14 @@ class TestMineEpisodes:
         with pytest.raises(ValueError):
             mine_episodes(events, 5, 0.5, k_max=0)
 
+    def test_one_pass_over_the_stream_per_level(self):
+        events = _CountingList(trace([(t, t % 3) for t in range(60)]))
+        for k_max in (1, 2, 4):
+            events.passes = 0
+            mined = mine_episodes(events, 5, 0.1, k_max=k_max)
+            assert max(len(e.labels) for e in mined) == k_max
+            assert events.passes <= k_max
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -168,9 +186,9 @@ class TestDeriveRules:
             derive_rules([], min_conf=-0.1)
 
 
-def _rule(labels, dim=Dimension.EVENT):
+def _rule(labels, dim=Dimension.EVENT, rule_id=0):
     return SequenceRule(
-        rule_id=0,
+        rule_id=rule_id,
         dim=dim,
         antecedent=tuple(labels[:-1]),
         consequent=labels[-1],
@@ -182,32 +200,32 @@ def _rule(labels, dim=Dimension.EVENT):
 class TestFindInstances:
     def test_wider_occurrence_not_minimal(self):
         events = trace([(1, 0), (2, 1), (3, 1)])
-        spans = [i.span for i in find_instances(_rule([0, 1]), events, window=5)]
+        spans = [i.span for i in find_instances([_rule([0, 1])], events, window=5)]
         assert spans == [(1.0, 2.0)]
 
     def test_later_start_supersedes(self):
         events = trace([(1, 0), (2, 0), (3, 1)])
-        spans = [i.span for i in find_instances(_rule([0, 1]), events, window=5)]
+        spans = [i.span for i in find_instances([_rule([0, 1])], events, window=5)]
         assert spans == [(2.0, 3.0)]
 
     def test_window_bound_inclusive_on_raw_timestamps(self):
         events = trace([(1, 0), (6, 1)])
-        assert find_instances(_rule([0, 1]), events, window=5) != []
-        assert find_instances(_rule([0, 1]), events, window=4.9) == []
+        assert find_instances([_rule([0, 1])], events, window=5) != []
+        assert find_instances([_rule([0, 1])], events, window=4.9) == []
 
     def test_anchor_is_completion_time_and_node_matches(self):
         events = [
             *trace([(1, 0)], node="a"),
             *trace([(2, 1)], node="b"),
         ]
-        inst = find_instances(_rule([0, 1]), events, window=5)[0]
+        inst = find_instances([_rule([0, 1])], events, window=5)[0]
         assert inst.anchor == 2.0
         assert inst.span == (1.0, 2.0)
         assert inst.node == "b"
 
     def test_atomic_rule_instance_per_event(self):
         events = trace([(1, 0), (5, 0), (9, 0)])
-        instances = find_instances(_rule([0]), events, window=5)
+        instances = find_instances([_rule([0])], events, window=5)
         assert [i.anchor for i in instances] == [1.0, 5.0, 9.0]
         assert all(i.span == (i.anchor, i.anchor) for i in instances)
 
@@ -218,21 +236,51 @@ class TestFindInstances:
             k = rng.randint(1, 3)
             labels = [rng.randrange(3) for _ in range(k)]
             window = rng.choice([3, 6, 12])
-            got = [i.span for i in find_instances(_rule(labels), events, window)]
+            got = [i.span for i in find_instances([_rule(labels)], events, window)]
             assert got == brute_minimal_instances(labels, events, window)
         for _ in range(100):
             events = _random_trace(rng, max_events=18, alphabet=3, span=25, tied=True)
             labels = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
             window = rng.choice([1, 3, 6])
-            got = [i.span for i in find_instances(_rule(labels), events, window)]
+            got = [i.span for i in find_instances([_rule(labels)], events, window)]
             assert got == brute_minimal_instances(labels, events, window)
 
     def test_instances_disjoint_in_start_and_end(self):
         rng = random.Random(5)
         for _ in range(50):
             events = _random_trace(rng, max_events=30, alphabet=2)
-            instances = find_instances(_rule([0, 1]), events, window=10)
+            instances = find_instances([_rule([0, 1])], events, window=10)
             starts = [i.span[0] for i in instances]
             ends = [i.span[1] for i in instances]
             assert starts == sorted(starts) and len(set(starts)) == len(starts)
             assert ends == sorted(ends) and len(set(ends)) == len(ends)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(0, 2)), min_size=1, max_size=14),
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=6),
+        st.sampled_from([1, 3, 6, 12]),
+    )
+    @example(
+        pairs=[(0, 0), (1, 1), (2, 0), (2, 0), (3, 0), (5, 1), (6, 0), (9, 2), (10, 0)],
+        sequences=[[0], [0, 0], [0, 1, 0], [1, 0], [0, 1], [2, 0, 0], [0, 0]],
+        window=6,
+    )
+    def test_many_rules_at_once_match_oracle(self, pairs, sequences, window):
+        """One call on rules of mixed lengths that share templates at
+        different positions, repeated labels included, gives each rule
+        its oracle instances, rule by rule."""
+        events = trace(pairs)
+        rules = [_rule(labels, rule_id=k) for k, labels in enumerate(sequences)]
+        instances = find_instances(rules, events, window)
+        ids = [i.rule_id for i in instances]
+        assert ids == sorted(ids)
+        for k, labels in enumerate(sequences):
+            got = [i.span for i in instances if i.rule_id == k]
+            assert got == brute_minimal_instances(labels, events, window)
+
+    def test_one_pass_over_the_stream_per_call(self):
+        events = _CountingList(trace([(t, t % 3) for t in range(30)]))
+        rules = [_rule(labels, rule_id=k) for k, labels in enumerate([[0], [0, 1], [2, 0, 2]])]
+        assert find_instances(rules, events, window=10)
+        assert events.passes == 1

@@ -102,6 +102,13 @@ class TestMinDfsCode:
             min_dfs_code(g([A, B], []))
 
     def test_matches_all_traversal_enumeration(self, rng):
+        # Two vertices carry the least label A; the minimum code starts at
+        # the first of them in one graph and at the second in the other.
+        for twin in (
+            g([A, B, A], [(0, 1, "same"), (2, 1, "cross")]),
+            g([A, B, A, C], [(0, 1, "cross"), (2, 1, "same"), (2, 3, "same")]),
+        ):
+            assert min_dfs_code(twin) == brute_min_code(twin)
         for _ in range(400):
             graph = random_connected_digraph(rng)
             assert min_dfs_code(graph) == brute_min_code(graph)
