@@ -265,7 +265,11 @@ class TemplateTable:
                 raise ParseError(f"template file line {line_no}: missing tab")
             if tid_str != str(len(table)):
                 raise ParseError(f"template file line {line_no}: {tid_str!r} is not id {len(table)}")
-            table.id_for(_unescape(payload))
+            masked = _unescape(payload)
+            earlier = table.get(masked)
+            if earlier is not None:
+                raise ParseError(f"template file line {line_no}: repeats template {earlier}")
+            table.id_for(masked)
         return table
 
     @classmethod
@@ -274,6 +278,9 @@ class TemplateTable:
         for tid, masked in rows:
             if tid != len(table._masked):
                 raise ValueError("template ids must be contiguous from 0")
+            earlier = table.get(masked)
+            if earlier is not None:
+                raise ValueError(f"template {tid} repeats template {earlier}")
             table.id_for(masked)
         return table
 

@@ -353,6 +353,7 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
                 f"$.patterns[{k}]",
                 f"label {label_text(label)} has no rule",
             )
+        _expect(p.code not in kb.patterns, f"$.patterns[{k}]", "duplicate pattern")
         kb.patterns[p.code] = p
     return kb
 

@@ -275,7 +275,9 @@ def _rmpath_indices(code: DfsCode) -> list[int]:
 
 @dataclass(frozen=True)
 class FailurePattern:
-    """A mined subgraph with its scores; vertex order is canonical."""
+    """A mined subgraph with its scores; vertex order is canonical.
+
+    Only `build` checks; `mine_patterns` makes patterns that pass."""
 
     graph: Digraph
     node_weights: tuple[float, ...]
@@ -285,23 +287,6 @@ class FailurePattern:
     structural_confidence: float = 0.0
     knowledge_confidence: float = 0.0
     provenance: frozenset[str] = frozenset({"mined"})
-
-    def __post_init__(self) -> None:
-        if len(self.node_weights) != self.graph.n:
-            raise ValueError("one weight per node required")
-        for w in self.node_weights:
-            if not 0 <= w <= 1:
-                raise ValueError("node weights must be in [0, 1]")
-        for name, value in (
-            ("support", self.support),
-            ("weighted_support", self.weighted_support),
-            ("structural_confidence", self.structural_confidence),
-            ("knowledge_confidence", self.knowledge_confidence),
-        ):
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.weighted_support > self.support:
-            raise ValueError("weighted support cannot exceed support")
 
     @classmethod
     def build(
@@ -314,8 +299,22 @@ class FailurePattern:
         knowledge_confidence: float = 0.0,
         provenance: Iterable[str] = ("mined",),
     ) -> "FailurePattern":
-        """Construct with vertices permuted into canonical code order."""
+        """Check, then construct with vertices in canonical code order."""
         code, order = _min_code_with_order(graph)
+        if len(node_weights) != graph.n:
+            raise ValueError("one weight per node required")
+        if not all(0 <= w <= 1 for w in node_weights):
+            raise ValueError("node weights must be in [0, 1]")
+        for name, value in (
+            ("support", support),
+            ("weighted_support", weighted_support),
+            ("structural_confidence", structural_confidence),
+            ("knowledge_confidence", knowledge_confidence),
+        ):
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if weighted_support > support:
+            raise ValueError("weighted support cannot exceed support")
         pos = {v: k for k, v in enumerate(order)}
         labels = tuple(graph.labels[v] for v in order)
         edges = frozenset((pos[u], pos[v], el) for u, v, el in graph.edges)
@@ -548,8 +547,8 @@ def remove_node(g: Digraph, idx: int) -> Digraph:
 def structural_confidences(
     patterns: Sequence[FailurePattern], graphs: Sequence, rules
 ) -> list[float]:
-    """Structural confidence of each pattern over window graphs, in order:
-    how often the pattern's context completes.
+    """Structural confidence of each pattern mined from `graphs`, in
+    order: how often the pattern's context completes.
 
     The consequent is the greatest-labeled sink. Confidence is the count
     of graphs containing the whole pattern over the count containing the
@@ -557,32 +556,28 @@ def structural_confidences(
     into components, which must be embedded jointly. A single-node
     pattern falls back to its rule's own confidence.
 
-    Window graph labels are unique and their edges are keyed by label, so
-    a pattern embeds in a window exactly when its labels are distinct and
-    all among the window's labels, and its arcs, keyed by label, are all
-    among the window's edges. Counting needs no search.
+    The whole-pattern count is the one the search found: support is
+    count / len(graphs), and with count < 2**51 the float product
+    `support * len(graphs)` is within 0.5 of count, so rounding it gives
+    count exactly. Window graph labels are unique and their edges are keyed by
+    label, so the remainder embeds in a window exactly when its labels
+    are among the window's labels and its arcs, keyed by label, among the
+    window's edges. Counting needs no search.
     """
     rule_map = _rule_map(rules)
+    total = len(graphs)
     hosts = [(frozenset(gn.label for gn in g.nodes), g.edges) for g in graphs]
-
-    def count(g: Digraph) -> int:
-        labels = frozenset(g.labels)
-        if len(labels) < g.n:
-            return 0
-        arcs = {(g.labels[u], g.labels[v], el) for u, v, el in g.edges}
-        return sum(1 for nodes, edges in hosts if labels <= nodes and arcs <= edges)
-
     out: list[float] = []
     for pattern in patterns:
         g = pattern.graph
         if g.n == 1:
             out.append(rule_map[g.labels[0]].confidence)
             continue
-        reduced = remove_node(g, consequent_index(g))
-        full_count = count(g)
-        if full_count == 0:
-            raise ValueError("pattern does not occur in the graph database")
-        out.append(full_count / count(reduced))
+        c = consequent_index(g)
+        labels = frozenset(g.labels[:c] + g.labels[c + 1 :])
+        arcs = {(g.labels[u], g.labels[v], el) for u, v, el in g.edges if c not in (u, v)}
+        rest = sum(1 for nodes, edges in hosts if labels <= nodes and arcs <= edges)
+        out.append(round(pattern.support * total) / rest)
     return out
 
 

@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -572,12 +572,8 @@ def patterns_stage(
     mined = mine_patterns(graphs, weights, cfg.ws_min, cfg.p_max)
     confidences = structural_confidences(mined, graphs, rule_map)
     return [
-        FailurePattern(
-            graph=p.graph,
-            node_weights=p.node_weights,
-            support=p.support,
-            weighted_support=p.weighted_support,
-            code=p.code,
+        replace(
+            p,
             structural_confidence=conf,
             knowledge_confidence=knowledge_confidence(p, rule_map, cfg.combiner, conf),
         )

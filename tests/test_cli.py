@@ -138,6 +138,24 @@ class TestExitCodes:
         kb.write_text('{"version": 99}')
         assert main(["query", "--kb", str(kb), "--target", "status:0"]) == 3
 
+    def test_repeated_pattern_in_kb_is_3(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "run" / "kb.json").read_text())
+        doc["patterns"].append(doc["patterns"][0])
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        assert main(["query", "--kb", str(kb), "--target", "status:0"]) == 3
+        assert "duplicate pattern" in capsys.readouterr().err
+
+    def test_repeated_template_in_templates_file_is_2(self, workdir, tmp_path, capsys):
+        lines = (workdir / "run" / "templates.tsv").read_text().splitlines(keepends=True)
+        templates = tmp_path / "templates.tsv"
+        first = lines[0].partition("\t")[2]
+        templates.write_text("".join(lines) + f"{len(lines)}\t{first}")
+        assert main([
+            "mine-rules", "--events", str(workdir / "run" / "events.jsonl"),
+            "--templates", str(templates), "--out", str(tmp_path / "o")]) == 2
+        assert f"line {len(lines) + 1}: repeats template 0" in capsys.readouterr().err
+
     def test_non_integer_blacklist_line_is_3_and_located(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         events.write_text('{"ts": 1.0, "node": "a", "dim": "event", "template": 0, "count": 1}\n')

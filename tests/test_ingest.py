@@ -168,9 +168,19 @@ class TestTemplateTable:
         with pytest.raises(ParseError, match="line 2"):
             TemplateTable.load(path)
 
+    def test_load_rejects_repeated_template(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\ta\n1\ta\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: repeats template 0"):
+            TemplateTable.load(path)
+
     def test_from_rows_requires_contiguity(self):
         with pytest.raises(ValueError):
             TemplateTable.from_rows([(1, "foo")])
+
+    def test_from_rows_rejects_repeated_template(self):
+        with pytest.raises(ValueError, match="template 1 repeats template 0"):
+            TemplateTable.from_rows([(0, "a"), (1, "a")])
 
 
 class TestDecodeJsonLine:

@@ -168,6 +168,24 @@ class TestExportLoad:
             load(doc)
         assert "duplicate" in str(err.value)
 
+    def test_duplicate_pattern_rejected(self):
+        kb = _base_kb()
+        merge(kb, [_pattern([A, C], [(0, 1, "cross")]), _pattern([B], [])])
+        doc = json.loads(export(kb))
+        doc["patterns"].append(dict(doc["patterns"][0], knowledge_confidence=0.0123))
+        with pytest.raises(SchemaError) as err:
+            load(doc)
+        assert err.value.path == "$.patterns[2]"
+        assert "duplicate pattern" in str(err.value)
+
+    def test_repeated_template_rejected(self):
+        doc = json.loads(export(_base_kb()))
+        doc["templates"].append([2, doc["templates"][0][1]])
+        with pytest.raises(SchemaError) as err:
+            load(doc)
+        assert err.value.path == "$.templates"
+        assert "template 2 repeats template 0" in str(err.value)
+
     def test_pattern_label_without_rule_rejected(self):
         kb = _base_kb()
         merge(kb, [_pattern([A, C], [(0, 1, "cross")])])

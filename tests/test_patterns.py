@@ -20,7 +20,6 @@ from logloom import (
     pattern_to_dot,
 )
 from logloom import patterns as patterns_module
-from logloom.patterns import structural_confidences
 from logloom.pipeline import patterns_stage
 
 from _oracles import (
@@ -506,12 +505,40 @@ class TestStructuralConfidences:
         assert pattern_confidence(v, V_DB, rules) == 1 / 3
 
     def test_absent_pattern_raises_like_reference(self):
+        # structural_confidences scores only patterns mined from the same
+        # graphs, which always occur; the reference still refuses the rest
         rules = [_atomic_rule(label) for label in (A, B, D)]
         absent = FailurePattern.build(g([A, D], [(0, 1, "cross")]), [1.0, 1.0], 0.5, 0.5)
         with pytest.raises(ValueError, match="does not occur"):
             pattern_confidence(absent, V_DB, rules)
-        with pytest.raises(ValueError, match="does not occur"):
-            structural_confidences([absent], V_DB, rules)
+
+    @settings(max_examples=40, deadline=None)
+    @given(window_databases())
+    def test_mined_patterns_pass_build(self, graphs):
+        for p in patterns_stage(SCORING_CFG, graphs, POOL_RULES):
+            assert p == FailurePattern.build(
+                p.graph, p.node_weights, p.support, p.weighted_support,
+                p.structural_confidence, p.knowledge_confidence,
+            )
+
+    def test_scoring_neither_removes_nodes_nor_builds(self, monkeypatch):
+        calls = {"remove_node": 0, "build": 0}
+        remove_node = patterns_module.remove_node
+        build = FailurePattern.build.__func__
+
+        def counting_remove_node(*args):
+            calls["remove_node"] += 1
+            return remove_node(*args)
+
+        def counting_build(cls, *args, **kwargs):
+            calls["build"] += 1
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(patterns_module, "remove_node", counting_remove_node)
+        monkeypatch.setattr(FailurePattern, "build", classmethod(counting_build))
+        rules = [_atomic_rule(label) for label in (A, B, C)]
+        assert any(p.graph.n > 2 for p in patterns_stage(SCORING_CFG, V_DB, rules))
+        assert calls == {"remove_node": 0, "build": 0}
 
     def test_scoring_does_not_rebuild_hosts(self, monkeypatch):
         calls = {"digraph": 0}
