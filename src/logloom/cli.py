@@ -158,16 +158,14 @@ def _cmd_build_graphs(args: argparse.Namespace) -> int:
 
 def _cmd_mine_patterns(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    graphs = read_graphs(args.graphs)
     doc = read_rules_doc(args.rules)
     rules = list(doc.rules.values())
+    graphs = read_graphs(args.graphs, rules)
     patterns = patterns_stage(cfg, graphs, rules)
-    kb, report = kb_stage(cfg, patterns, rules, doc.templates)
+    kb, _ = kb_stage(cfg, patterns, rules, doc.templates)
     out = _out_dir(args)
     (out / "kb.json").write_text(export(kb), encoding="utf-8")
     print(f"{len(patterns)} patterns")
-    if report.rejected:
-        print(report.render())
     return 0
 
 

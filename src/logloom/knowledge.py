@@ -8,7 +8,7 @@ from typing import Any, Iterable, Mapping
 
 from .episodes import SequenceRule
 from .graphs import EDGE_KINDS, Label, label_text
-from .ingest import Dimension, TemplateTable
+from .ingest import Dimension, TemplateTable, dimension
 from .patterns import DfsCode, Digraph, FailurePattern, consequent_index, remove_node
 
 DOC_VERSION = 1
@@ -143,82 +143,82 @@ def export(kb: KnowledgeBase) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaError(path, message)
+def _is_int(value: Any) -> bool:
+    """Whether `value` is a JSON integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value: Any, path: str, lo: float = 0.0, hi: float = 1.0) -> float:
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        path,
-        "must be a number",
-    )
-    _expect(lo <= value <= hi, path, f"must be within [{lo}, {hi}]")
+def _number(value: Any, path: str, *args: Any) -> float:
+    """`value` as a float if it is a number within [0, 1]; a bool is not
+    one. Otherwise a SchemaError at `path.format(*args)`."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise SchemaError(path.format(*args), "must be a number")
+    if not 0.0 <= value <= 1.0:
+        raise SchemaError(path.format(*args), "must be within [0.0, 1.0]")
     return float(value)
 
 
-def _dimension(value: Any, path: str) -> Dimension:
+def _dimension(value: Any, path: str, *args: Any) -> Dimension:
+    """`value` as a Dimension, or a SchemaError at `path.format(*args)`."""
     try:
-        return Dimension(value)
+        return dimension(value)
     except ValueError:
-        raise SchemaError(path, f"unknown dimension {value!r}") from None
+        raise SchemaError(path.format(*args), f"unknown dimension {value!r}") from None
 
 
-def _pattern_from_doc(entry: Any, path: str, strict: bool) -> FailurePattern:
-    """Build a pattern from one document entry.
+# The fields an expert document may leave out, and the value each takes then.
+_EXPERT_DEFAULTS: dict[str, Any] = {
+    "support": 0.0,
+    "weighted_support": 0.0,
+    "structural_confidence": 0.0,
+    "provenance": [],
+}
 
-    `strict` requires every score and provenance (full documents);
-    otherwise only knowledge_confidence is mandatory and the rest
-    default to zero (expert documents).
+_SCORES = ("knowledge_confidence", "support", "weighted_support", "structural_confidence")
+
+
+def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
+    """Build a pattern from the document entry at `$.patterns[k]`.
+
+    `strict` (full documents) requires every score and a non-empty
+    provenance; otherwise (expert documents) only knowledge_confidence
+    is mandatory and the fields in `_EXPERT_DEFAULTS` take their default.
     """
-    _expect(isinstance(entry, dict), path, "must be an object")
+    if not isinstance(entry, dict):
+        raise SchemaError(f"$.patterns[{k}]", "must be an object")
     nodes = entry.get("nodes")
-    _expect(isinstance(nodes, list) and nodes, f"{path}.nodes", "must be a non-empty array")
+    if not isinstance(nodes, list) or not nodes:
+        raise SchemaError(f"$.patterns[{k}].nodes", "must be a non-empty array")
     labels: dict[int, Label] = {}
     weights: dict[int, float] = {}
-    for k, raw in enumerate(nodes):
-        npath = f"{path}.nodes[{k}]"
-        _expect(
-            isinstance(raw, list) and len(raw) == 4,
-            npath,
-            "must be [index, dim, rule_id, weight]",
-        )
-        index, dim_raw, rid, weight = raw
-        _expect(isinstance(index, int) and not isinstance(index, bool), npath, "index must be an integer")
-        _expect(index not in labels, npath, f"duplicate node index {index}")
-        dim = _dimension(dim_raw, npath)
-        _expect(
-            isinstance(rid, int) and not isinstance(rid, bool) and rid >= 0,
-            npath,
-            "rule_id must be a non-negative integer",
-        )
+    for i, raw in enumerate(nodes):
+        if not isinstance(raw, list) or len(raw) != 4:
+            raise SchemaError(f"$.patterns[{k}].nodes[{i}]", "must be [index, dim, rule_id, weight]")
+        index, dim, rid, weight = raw
+        if not _is_int(index):
+            raise SchemaError(f"$.patterns[{k}].nodes[{i}]", "index must be an integer")
+        if index in labels:
+            raise SchemaError(f"$.patterns[{k}].nodes[{i}]", f"duplicate node index {index}")
+        dim = _dimension(dim, "$.patterns[{}].nodes[{}]", k, i)
+        if not (_is_int(rid) and rid >= 0):
+            raise SchemaError(f"$.patterns[{k}].nodes[{i}]", "rule_id must be a non-negative integer")
         labels[index] = (dim, rid)
-        weights[index] = _number(weight, f"{npath}.weight")
-    _expect(
-        set(labels) == set(range(len(nodes))),
-        f"{path}.nodes",
-        "indexes must cover 0..n-1",
-    )
+        weights[index] = _number(weight, "$.patterns[{}].nodes[{}].weight", k, i)
+    if set(labels) != set(range(len(nodes))):
+        raise SchemaError(f"$.patterns[{k}].nodes", "indexes must cover 0..n-1")
 
     edges_raw = entry.get("edges")
-    _expect(isinstance(edges_raw, list), f"{path}.edges", "must be an array")
+    if not isinstance(edges_raw, list):
+        raise SchemaError(f"$.patterns[{k}].edges", "must be an array")
     edges: set[tuple[int, int, str]] = set()
-    for k, raw in enumerate(edges_raw):
-        epath = f"{path}.edges[{k}]"
-        _expect(
-            isinstance(raw, list) and len(raw) == 3,
-            epath,
-            "must be [from, to, kind]",
-        )
+    for i, raw in enumerate(edges_raw):
+        if not isinstance(raw, list) or len(raw) != 3:
+            raise SchemaError(f"$.patterns[{k}].edges[{i}]", "must be [from, to, kind]")
         u, v, kind = raw
-        for end in (u, v):
-            _expect(
-                isinstance(end, int) and not isinstance(end, bool) and end in labels,
-                epath,
-                "endpoints must be node indexes",
-            )
-        _expect(kind in EDGE_KINDS, epath, f"kind must be one of {EDGE_KINDS}")
+        if not (_is_int(u) and u in labels and _is_int(v) and v in labels):
+            raise SchemaError(f"$.patterns[{k}].edges[{i}]", "endpoints must be node indexes")
+        if kind not in EDGE_KINDS:
+            raise SchemaError(f"$.patterns[{k}].edges[{i}]", f"kind must be one of {EDGE_KINDS}")
         edges.add((u, v, kind))
 
     try:
@@ -226,23 +226,22 @@ def _pattern_from_doc(entry: Any, path: str, strict: bool) -> FailurePattern:
             tuple(labels[i] for i in range(len(labels))), frozenset(edges)
         )
     except ValueError as exc:
-        raise SchemaError(f"{path}.edges", str(exc)) from None
+        raise SchemaError(f"$.patterns[{k}].edges", str(exc)) from None
 
-    kc = _number(entry.get("knowledge_confidence"), f"{path}.knowledge_confidence")
-    if strict:
-        support = _number(entry.get("support"), f"{path}.support")
-        ws = _number(entry.get("weighted_support"), f"{path}.weighted_support")
-        sc = _number(entry.get("structural_confidence"), f"{path}.structural_confidence")
-        prov_raw = entry.get("provenance")
-        _expect(isinstance(prov_raw, list) and prov_raw, f"{path}.provenance", "must be a non-empty array")
-    else:
-        support = _number(entry.get("support", 0.0), f"{path}.support")
-        ws = _number(entry.get("weighted_support", 0.0), f"{path}.weighted_support")
-        sc = _number(entry.get("structural_confidence", 0.0), f"{path}.structural_confidence")
-        prov_raw = entry.get("provenance", [])
-        _expect(isinstance(prov_raw, list), f"{path}.provenance", "must be an array")
-    for item in prov_raw:
-        _expect(isinstance(item, str) and item, f"{path}.provenance", "entries must be non-empty strings")
+    defaults = {} if strict else _EXPERT_DEFAULTS
+    kc, support, ws, sc = (
+        _number(entry.get(key, defaults.get(key)), "$.patterns[{}].{}", k, key)
+        for key in _SCORES
+    )
+    provenance = entry.get("provenance", defaults.get("provenance"))
+    if not isinstance(provenance, list) or (strict and not provenance):
+        raise SchemaError(
+            f"$.patterns[{k}].provenance",
+            "must be a non-empty array" if strict else "must be an array",
+        )
+    for item in provenance:
+        if not isinstance(item, str) or not item:
+            raise SchemaError(f"$.patterns[{k}].provenance", "entries must be non-empty strings")
 
     try:
         return FailurePattern.build(
@@ -252,10 +251,10 @@ def _pattern_from_doc(entry: Any, path: str, strict: bool) -> FailurePattern:
             weighted_support=ws,
             structural_confidence=sc,
             knowledge_confidence=kc,
-            provenance=frozenset(prov_raw),
+            provenance=frozenset(provenance),
         )
     except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
+        raise SchemaError(f"$.patterns[{k}]", str(exc)) from None
 
 
 def _as_doc(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
@@ -266,7 +265,8 @@ def _as_doc(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
             raise SchemaError("$", f"invalid JSON: {exc.msg}") from None
     else:
         parsed = doc
-    _expect(isinstance(parsed, Mapping), "$", "document must be an object")
+    if not isinstance(parsed, Mapping):
+        raise SchemaError("$", "document must be an object")
     return parsed
 
 
@@ -277,62 +277,56 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
     SchemaError with the offending path.
     """
     data = _as_doc(doc)
-    _expect(data.get("version") == DOC_VERSION, "$.version", f"must be {DOC_VERSION}")
+    version = data.get("version")
+    if not (_is_int(version) and version == DOC_VERSION):
+        raise SchemaError("$.version", f"must be {DOC_VERSION}")
     metadata = data.get("metadata")
-    _expect(isinstance(metadata, Mapping), "$.metadata", "must be an object")
+    if not isinstance(metadata, Mapping):
+        raise SchemaError("$.metadata", "must be an object")
 
     templates_raw = data.get("templates")
-    _expect(isinstance(templates_raw, list), "$.templates", "must be an array")
-    rows: list[tuple[int, str]] = []
+    if not isinstance(templates_raw, list):
+        raise SchemaError("$.templates", "must be an array")
     for k, raw in enumerate(templates_raw):
-        tpath = f"$.templates[{k}]"
-        _expect(
-            isinstance(raw, list) and len(raw) == 2,
-            tpath,
-            "must be [id, masked]",
-        )
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise SchemaError(f"$.templates[{k}]", "must be [id, masked]")
         tid, masked = raw
-        _expect(isinstance(tid, int) and not isinstance(tid, bool), tpath, "id must be an integer")
-        _expect(isinstance(masked, str), tpath, "masked must be a string")
-        rows.append((tid, masked))
+        if not _is_int(tid):
+            raise SchemaError(f"$.templates[{k}]", "id must be an integer")
+        if not isinstance(masked, str):
+            raise SchemaError(f"$.templates[{k}]", "masked must be a string")
     try:
-        templates = TemplateTable.from_rows(rows)
+        templates = TemplateTable.from_rows(templates_raw)
     except ValueError as exc:
         raise SchemaError("$.templates", str(exc)) from None
 
+    def is_template(t: Any) -> bool:
+        return _is_int(t) and 0 <= t < len(templates)
+
     rules_raw = data.get("rules")
-    _expect(isinstance(rules_raw, list), "$.rules", "must be an array")
+    if not isinstance(rules_raw, list):
+        raise SchemaError("$.rules", "must be an array")
     rules: dict[Label, SequenceRule] = {}
     for k, raw in enumerate(rules_raw):
-        rpath = f"$.rules[{k}]"
-        _expect(isinstance(raw, dict), rpath, "must be an object")
-        dim = _dimension(raw.get("dim"), f"{rpath}.dim")
+        if not isinstance(raw, dict):
+            raise SchemaError(f"$.rules[{k}]", "must be an object")
+        dim = _dimension(raw.get("dim"), "$.rules[{}].dim", k)
         rid = raw.get("rule_id")
-        _expect(
-            isinstance(rid, int) and not isinstance(rid, bool) and rid >= 0,
-            f"{rpath}.rule_id",
-            "must be a non-negative integer",
-        )
+        if not (_is_int(rid) and rid >= 0):
+            raise SchemaError(f"$.rules[{k}].rule_id", "must be a non-negative integer")
         antecedent = raw.get("antecedent")
-        _expect(isinstance(antecedent, list), f"{rpath}.antecedent", "must be an array")
-        for t in antecedent:
-            _expect(
-                isinstance(t, int) and not isinstance(t, bool) and 0 <= t < len(templates),
-                f"{rpath}.antecedent",
-                "entries must be template ids",
-            )
+        if not isinstance(antecedent, list):
+            raise SchemaError(f"$.rules[{k}].antecedent", "must be an array")
+        if not all(map(is_template, antecedent)):
+            raise SchemaError(f"$.rules[{k}].antecedent", "entries must be template ids")
         consequent = raw.get("consequent")
-        _expect(
-            isinstance(consequent, int)
-            and not isinstance(consequent, bool)
-            and 0 <= consequent < len(templates),
-            f"{rpath}.consequent",
-            "must be a template id",
-        )
-        support = _number(raw.get("support"), f"{rpath}.support")
-        confidence = _number(raw.get("confidence"), f"{rpath}.confidence")
+        if not is_template(consequent):
+            raise SchemaError(f"$.rules[{k}].consequent", "must be a template id")
+        support = _number(raw.get("support"), "$.rules[{}].support", k)
+        confidence = _number(raw.get("confidence"), "$.rules[{}].confidence", k)
         label = (dim, rid)
-        _expect(label not in rules, rpath, f"duplicate rule {label_text(label)}")
+        if label in rules:
+            raise SchemaError(f"$.rules[{k}]", f"duplicate rule {label_text(label)}")
         rules[label] = SequenceRule(
             rule_id=rid,
             dim=dim,
@@ -343,17 +337,16 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
         )
 
     patterns_raw = data.get("patterns")
-    _expect(isinstance(patterns_raw, list), "$.patterns", "must be an array")
+    if not isinstance(patterns_raw, list):
+        raise SchemaError("$.patterns", "must be an array")
     kb = KnowledgeBase(patterns={}, rules=rules, templates=templates, metadata=dict(metadata))
     for k, raw in enumerate(patterns_raw):
-        p = _pattern_from_doc(raw, f"$.patterns[{k}]", strict=True)
+        p = _pattern_from_doc(raw, k, strict=True)
         for label in p.graph.labels:
-            _expect(
-                label in rules,
-                f"$.patterns[{k}]",
-                f"label {label_text(label)} has no rule",
-            )
-        _expect(p.code not in kb.patterns, f"$.patterns[{k}]", "duplicate pattern")
+            if label not in rules:
+                raise SchemaError(f"$.patterns[{k}]", f"label {label_text(label)} has no rule")
+        if p.code in kb.patterns:
+            raise SchemaError(f"$.patterns[{k}]", "duplicate pattern")
         kb.patterns[p.code] = p
     return kb
 
@@ -367,15 +360,18 @@ def import_expert(doc: str | Mapping[str, Any]) -> list[FailurePattern]:
     """
     data = _as_doc(doc)
     metadata = data.get("metadata", {})
-    _expect(isinstance(metadata, Mapping), "$.metadata", "must be an object")
+    if not isinstance(metadata, Mapping):
+        raise SchemaError("$.metadata", "must be an object")
     source = metadata.get("source", "anonymous")
-    _expect(isinstance(source, str) and bool(source), "$.metadata.source", "must be a non-empty string")
+    if not isinstance(source, str) or not source:
+        raise SchemaError("$.metadata.source", "must be a non-empty string")
     patterns_raw = data.get("patterns")
-    _expect(isinstance(patterns_raw, list), "$.patterns", "must be an array")
+    if not isinstance(patterns_raw, list):
+        raise SchemaError("$.patterns", "must be an array")
     tag = f"expert:{source}"
     out: list[FailurePattern] = []
     for k, raw in enumerate(patterns_raw):
-        p = _pattern_from_doc(raw, f"$.patterns[{k}]", strict=False)
+        p = _pattern_from_doc(raw, k, strict=False)
         out.append(replace(p, provenance=p.provenance | {tag}))
     return out
 

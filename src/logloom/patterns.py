@@ -70,20 +70,6 @@ def _arc_map(g: Digraph) -> dict[tuple[int, int], tuple[int, Hashable]]:
     return arcs
 
 
-def _is_connected(g: Digraph) -> bool:
-    if g.n == 0:
-        return False
-    adj = _adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w, _, _ in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
@@ -164,13 +150,20 @@ def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
     n = g.n
     if n == 0:
         raise ValueError("graph is empty")
-    if not _is_connected(g):
+    adj = _adjacency(g)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w, _, _ in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < n:
         raise ValueError("graph must be connected")
     if n == 1:
         label = g.labels[0]
         return ((0, 0, label, 0, None, label),), (0,)
 
-    adj = _adjacency(g)
     least = min(g.labels)
     states = [
         _State((v,), (v,), frozenset()) for v in range(n) if g.labels[v] == least

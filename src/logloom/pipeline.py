@@ -464,9 +464,13 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
         fh.write(("\n  ]" if sep else "]") + _GRAPHS_TAIL)
 
 
-def read_graphs(path: str | Path) -> list[WindowGraph]:
-    """Window graphs; a window that does not make a WindowGraph, or makes
-    one that fails `WindowGraph.check()`, is a SchemaError at `$.graphs[i]`."""
+def read_graphs(
+    path: str | Path, rules: Iterable[SequenceRule] | None = None
+) -> list[WindowGraph]:
+    """Window graphs; a window that does not make a WindowGraph, makes one
+    that fails `WindowGraph.check()`, or has a node label that is not
+    among `rules`, when given, is a SchemaError at `$.graphs[i]`."""
+    labels = None if rules is None else {r.label for r in rules}
     try:
         windows = json.loads(Path(path).read_text(encoding="utf-8"))["graphs"]
     except (KeyError, TypeError, ValueError, RecursionError):
@@ -499,6 +503,10 @@ def read_graphs(path: str | Path) -> list[WindowGraph]:
             index = _typed(raw["window_index"], "window_index", int, "an integer")
             graph = WindowGraph(index, nodes, edges)
             graph.check()
+            if labels is not None:
+                for gn in nodes:
+                    if gn.label not in labels:
+                        raise ValueError(f"rule {label_text(gn.label)} is not in the rules file")
             out.append(graph)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"$.graphs[{i}]", f"{path}: {_fault(exc)}") from None
@@ -670,7 +678,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     write_graphs(graphs, out_dir / "graphs.json")
 
     patterns = timed("mine-patterns", patterns_stage, cfg, graphs, rules)
-    kb, merge_report = kb_stage(cfg, patterns, rules, table)
+    kb, _ = kb_stage(cfg, patterns, rules, table)
     (out_dir / "kb.json").write_text(export(kb), encoding="utf-8")
 
     lines = [
@@ -687,8 +695,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     lines.append(f"window graphs: {len(graphs)}")
     lines.append(f"patterns: {len(patterns)}")
     lines.extend(_top_patterns(patterns))
-    if merge_report.rejected:
-        lines.append(merge_report.render())
     lines.append(
         "timings: "
         + ", ".join(f"{name} {dt:.3f}s" for name, dt in timings)

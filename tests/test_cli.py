@@ -262,6 +262,8 @@ class TestExitCodes:
         pytest.param("graphs.json",
                      lambda doc: {"graphs": [{**doc["graphs"][0], "window_index": "0"}]},
                      "$.graphs[0]", id="graphs-string_window_index"),
+        pytest.param("graphs.json", lambda doc: _unknown_rule_node(doc), "$.graphs[0]",
+                     id="graphs-unknown_rule"),
     ])
     def test_malformed_interchange_record_is_3_and_located(
         self, workdir, tmp_path, capsys, name, edit, where
@@ -306,6 +308,15 @@ def _first_node(doc: dict, **fields) -> dict:
     window = doc["graphs"][0]
     nodes = [{**window["nodes"][0], **fields}, *window["nodes"][1:]]
     return {"graphs": [{**window, "nodes": nodes}]}
+
+
+def _unknown_rule_node(doc: dict) -> dict:
+    """graphs.json cut to its first window, which gains a copy of its first
+    node under rule id 999, half a second later."""
+    window = doc["graphs"][0]
+    first = window["nodes"][0]
+    extra = {**first, "rule_id": 999, "anchor": first["anchor"] + 0.5}
+    return {"graphs": [{**window, "nodes": [*window["nodes"], extra]}]}
 
 
 def _first_edge(doc: dict, position: int, cast) -> dict:

@@ -12,6 +12,7 @@ from logloom import (
     TemplateTable,
     export,
     import_expert,
+    knowledge,
     load,
     merge,
     query_root_causes,
@@ -133,6 +134,8 @@ class TestExportLoad:
         "mutate,path_part",
         [
             (lambda d: d.update(version=2), "$.version"),
+            pytest.param(lambda d: d.update(version=True), "$.version", id="bool_version"),
+            pytest.param(lambda d: d.update(version=1.0), "$.version", id="float_version"),
             (lambda d: d.update(metadata=[]), "$.metadata"),
             (lambda d: d.update(templates=[[1, "x"]]), "$.templates"),
             (lambda d: d["rules"].append({"dim": "event"}), "$.rules[3]"),
@@ -194,6 +197,21 @@ class TestExportLoad:
         with pytest.raises(SchemaError) as err:
             load(doc)
         assert "status:0" in str(err.value)
+
+    def test_valid_load_formats_no_label_text(self, monkeypatch):
+        """Error text is built only when a check fails, so loading a valid
+        document never renders a label."""
+        kb = _base_kb()
+        merge(kb, [
+            _pattern([A, C], [(0, 1, "cross")]),
+            _pattern([A, B, C], [(0, 1, "same"), (1, 2, "cross")]),
+            _pattern([B, C], [(1, 0, "cross")]),
+        ])
+        text = export(kb)
+        calls = []
+        monkeypatch.setattr(knowledge, "label_text", lambda label: calls.append(label))
+        assert export(load(text)) == text
+        assert calls == []
 
     def test_invalid_json_string(self):
         with pytest.raises(SchemaError):
