@@ -55,7 +55,7 @@ class SequenceRule:
         return (self.dim, self.rule_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     """One minimal occurrence of a rule; `anchor` is the completion time."""
 
@@ -64,6 +64,29 @@ class RuleInstance:
     anchor: float
     span: tuple[float, float]
     node: str
+
+
+# A trusted constructor for `find_instances`, as in `ingest`: each slot is
+# set through its member descriptor, which skips the frozen `__setattr__`.
+_new = object.__new__
+_set_rule_id = RuleInstance.rule_id.__set__
+_set_dim = RuleInstance.dim.__set__
+_set_anchor = RuleInstance.anchor.__set__
+_set_span = RuleInstance.span.__set__
+_set_node = RuleInstance.node.__set__
+
+
+def _rule_instance(
+    rule_id: int, dim: Dimension, anchor: float, span: tuple[float, float], node: str
+) -> RuleInstance:
+    """`RuleInstance(rule_id, dim, anchor, span, node)`."""
+    inst = _new(RuleInstance)
+    _set_rule_id(inst, rule_id)
+    _set_dim(inst, dim)
+    _set_anchor(inst, anchor)
+    _set_span(inst, span)
+    _set_node(inst, node)
+    return inst
 
 
 def _window_ticks(window: float, granularity: float) -> int:
@@ -285,7 +308,7 @@ def find_instances(
             found.append((s, e, node))
 
     return [
-        RuleInstance(rule.rule_id, rule.dim, anchor=e, span=(s, e), node=node)
+        _rule_instance(rule.rule_id, rule.dim, e, (s, e), node)
         for rule, found in zip(rules, minimal)
         for s, e, node in found
         if e - s <= window

@@ -362,6 +362,7 @@ def decode_json_line(text: str) -> object:
 def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
     records: list[LogRecord] = []
     rejects: list[RejectEntry] = []
+    nodes: dict[str, str] = {}
     for line_no, line in _decode_lines(stream):
         if line is None:
             rejects.append(RejectEntry(line_no, "not valid UTF-8", "<binary>"))
@@ -377,7 +378,7 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
             rejects.append(RejectEntry(line_no, f"invalid JSON: {msg}", text))
             continue
-        record, reason = _record_from_fields(obj, dim_default)
+        record, reason = _record_from_fields(obj, dim_default, nodes)
         if record is None:
             rejects.append(RejectEntry(line_no, reason, text))
         else:
@@ -400,11 +401,12 @@ def _parse_csv(stream, dim_default: Dimension | None) -> ParseResult:
         if missing:
             raise ParseError(f"csv header lacks required columns: {sorted(missing)}")
     records: list[LogRecord] = []
+    nodes: dict[str, str] = {}
     for row in reader:
         line_no = reader.line_num
         raw = ",".join(v for v in row.values() if isinstance(v, str))
         fields = {k: v for k, v in row.items() if k is not None and v is not None}
-        record, reason = _record_from_fields(fields, dim_default)
+        record, reason = _record_from_fields(fields, dim_default, nodes)
         if record is None:
             rejects.append(RejectEntry(line_no, reason, raw))
         else:
@@ -415,7 +417,14 @@ def _parse_csv(stream, dim_default: Dimension | None) -> ParseResult:
 FORMATS = {"jsonl": _parse_jsonl, "csv": _parse_csv}
 
 
-def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[LogRecord | None, str]:
+def _record_from_fields(
+    obj: object, dim_default: Dimension | None, nodes: dict[str, str]
+) -> tuple[LogRecord | None, str]:
+    """The record of one parsed line, or None and the reason it is rejected.
+
+    `nodes` holds the first string of each node name the parse has seen,
+    so that all records of one node share one string.
+    """
     if not isinstance(obj, dict):
         return None, "record must be an object"
     for key in ("ts", "node", "msg"):
@@ -448,7 +457,7 @@ def _record_from_fields(obj: object, dim_default: Dimension | None) -> tuple[Log
             dim = dimension(raw_dim)
         except ValueError:
             return None, f"unknown dimension: {raw_dim!r}"
-    return _log_record(float(ts), node, dim, msg), ""
+    return _log_record(float(ts), nodes.setdefault(node, node), dim, msg), ""
 
 
 def canonicalize(

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 from .episodes import SequenceRule
@@ -104,43 +106,115 @@ def merge(
     return kb, report
 
 
-def _pattern_doc(p: FailurePattern) -> dict[str, Any]:
-    return {
-        "nodes": [
-            [i, label[0].value, label[1], weight]
-            for i, (label, weight) in enumerate(zip(p.graph.labels, p.node_weights))
-        ],
-        "edges": sorted([u, v, el] for u, v, el in p.graph.edges),
-        "support": p.support,
-        "weighted_support": p.weighted_support,
-        "structural_confidence": p.structural_confidence,
-        "knowledge_confidence": p.knowledge_confidence,
-        "provenance": sorted(p.provenance),
-    }
+# Direct JSON rendering, for `export` and the bulk interchange files in
+# `pipeline`: the bytes `json.dumps(..., sort_keys=True)` gives, with
+# `indent=2` where the document has it, without building dict documents.
+# Strings are escaped to ASCII by json's own `encode_basestring_ascii`,
+# once per distinct string in a document where they repeat.
+
+
+class _Memo(dict):
+    """`memo[key]` is `make(key)`, made on first use."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _scalar(value: Any) -> str:
+    """JSON text of a number: `repr` of an int or a finite float, which is
+    what `json` writes; `json.dumps` for anything else (NaN, a bool, ...)."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    return json.dumps(value)
+
+
+_DIM_TEXT = {d: encode_basestring_ascii(d.value) for d in Dimension}
+
+
+def _array(items: list[str], indent: int) -> str:
+    """An `indent=2` array of items that each open with their own newline
+    and indent, closed on a line indented `indent` spaces; `[]` when empty."""
+    return "[" + ",".join(items) + "\n" + " " * indent + "]" if items else "[]"
+
+
+# The indent=2 layout of a knowledge document, one template per nesting
+# level; fields are in sorted key order.
+_RULE = (
+    '\n    {{\n      "antecedent": {},\n      "confidence": {},\n      "consequent": {},'
+    '\n      "dim": {},\n      "rule_id": {},\n      "support": {}\n    }}'
+)
+_TEMPLATE = "\n    [\n      {},\n      {}\n    ]"
+_PATTERN = (
+    '\n    {{\n      "edges": {},\n      "knowledge_confidence": {},\n      "nodes": {},'
+    '\n      "provenance": {},\n      "structural_confidence": {},\n      "support": {},'
+    '\n      "weighted_support": {}\n    }}'
+)
+_PATTERN_NODE = "\n        [\n          {},\n          {},\n          {},\n          {}\n        ]"
+_PATTERN_EDGE = "\n        [\n          {},\n          {},\n          {}\n        ]"
+_ENTRY = "\n        {}"  # one entry of an antecedent or provenance array
+
+
+def _append_array(parts: list[str], items: Iterable[str]) -> None:
+    """Append a top-level array of `items` to `parts`, an item at a time."""
+    parts.append("[")
+    sep = ""
+    for item in items:
+        parts.append(sep)
+        parts.append(item)
+        sep = ","
+    parts.append("\n  ]" if sep else "]")
 
 
 def export(kb: KnowledgeBase) -> str:
-    """Serialize to the exchange document, byte-stable for equal content."""
-    doc = {
-        "version": DOC_VERSION,
-        "metadata": kb.metadata,
-        "templates": [[tid, masked] for tid, masked in kb.templates.items()],
-        "rules": [
-            {
-                "rule_id": r.rule_id,
-                "dim": r.dim.value,
-                "antecedent": list(r.antecedent),
-                "consequent": r.consequent,
-                "support": r.support,
-                "confidence": r.confidence,
-            }
-            for r in sorted(kb.rules.values(), key=lambda r: (r.dim.rank, r.rule_id))
-        ],
-        "patterns": [doc for _, doc in sorted(
-            (code, _pattern_doc(p)) for code, p in kb.patterns.items()
-        )],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Serialize to the exchange document, byte-stable for equal content.
+
+    The text is `json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=True)` of the document plus a newline, rendered directly.
+    Metadata holds any JSON, so it goes through `json.dumps` and is then
+    indented one level.
+    """
+    strings = _Memo(encode_basestring_ascii)
+
+    def rule_text(r: SequenceRule) -> str:
+        antecedent = [_ENTRY.format(_scalar(t)) for t in r.antecedent]
+        return _RULE.format(
+            _array(antecedent, 6), _scalar(r.confidence), _scalar(r.consequent),
+            _DIM_TEXT[r.dim], _scalar(r.rule_id), _scalar(r.support),
+        )
+
+    def pattern_text(p: FailurePattern) -> str:
+        nodes = [
+            _PATTERN_NODE.format(i, _DIM_TEXT[label[0]], _scalar(label[1]), _scalar(weight))
+            for i, (label, weight) in enumerate(zip(p.graph.labels, p.node_weights))
+        ]
+        edges = [
+            _PATTERN_EDGE.format(_scalar(u), _scalar(v), strings[el])
+            for u, v, el in sorted(p.graph.edges)
+        ]
+        provenance = [_ENTRY.format(strings[item]) for item in sorted(p.provenance)]
+        return _PATTERN.format(
+            _array(edges, 6), _scalar(p.knowledge_confidence), _array(nodes, 6),
+            _array(provenance, 6), _scalar(p.structural_confidence),
+            _scalar(p.support), _scalar(p.weighted_support),
+        )
+
+    metadata = json.dumps(kb.metadata, sort_keys=True, indent=2, ensure_ascii=True)
+    parts = ['{\n  "metadata": ', metadata.replace("\n", "\n  "), ',\n  "patterns": ']
+    _append_array(parts, (pattern_text(kb.patterns[code]) for code in sorted(kb.patterns)))
+    parts.append(',\n  "rules": ')
+    rules = sorted(kb.rules.values(), key=lambda r: (r.dim.rank, r.rule_id))
+    _append_array(parts, map(rule_text, rules))
+    parts.append(',\n  "templates": ')
+    templates = kb.templates.items()
+    _append_array(parts, (_TEMPLATE.format(t, encode_basestring_ascii(m)) for t, m in templates))
+    parts.append(f',\n  "version": {DOC_VERSION}\n}}\n')
+    return "".join(parts)
 
 
 def _is_int(value: Any) -> bool:

@@ -12,7 +12,7 @@ which the rightmost-extension search depends on.
 
 from __future__ import annotations
 
-import statistics
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
@@ -407,7 +407,9 @@ def mine_patterns(
 
     def emit(code: DfsCode, labels: list[Hashable], support: float) -> None:
         node_weights = tuple(label_weights[label] for label in labels)
-        ws = support * statistics.fmean(node_weights)
+        # `statistics.fmean`, without importing `statistics` (and with it
+        # `decimal` and `fractions`); the parentheses keep its rounding.
+        ws = support * (math.fsum(node_weights) / len(node_weights))
         if ws >= ws_min:
             found.append(
                 FailurePattern(

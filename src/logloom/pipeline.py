@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -39,7 +38,18 @@ from .ingest import (
     dimension,
     parse_lines,
 )
-from .knowledge import KnowledgeBase, MergeReport, SchemaError, export, load, merge
+from .knowledge import (
+    KnowledgeBase,
+    MergeReport,
+    SchemaError,
+    _DIM_TEXT,
+    _array,
+    _Memo,
+    _scalar,
+    export,
+    load,
+    merge,
+)
 from .patterns import (
     COMBINERS,
     FailurePattern,
@@ -48,6 +58,16 @@ from .patterns import (
     structural_confidences,
 )
 from .preprocess import CoalescePolicy, NoisePolicy, NoiseReport, coalesce, filter_noise
+
+# The SHA-256 CPython builds in, so that a run does not map OpenSSL's
+# libcrypto, as `hashlib` does, to hash one small config document.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(Exception):
@@ -199,7 +219,7 @@ def config_digest(cfg: PipelineConfig) -> str:
     }
     payload["blacklist"] = sorted(payload["blacklist"])
     blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def read_config(path: str | Path) -> dict[str, Any]:
@@ -263,36 +283,6 @@ def _fault(exc: Exception) -> str:
     if isinstance(exc, json.JSONDecodeError):
         return f"not JSON: {exc.msg}"
     return f"not JSON: {exc}" if isinstance(exc, RecursionError) else str(exc)
-
-
-# Direct JSON rendering for the bulk interchange files: the same bytes as
-# `json.dumps(..., sort_keys=True)` without building its dict documents.
-# Strings are escaped to ASCII by json's own `encode_basestring_ascii`,
-# once per distinct string in a file.
-
-
-class _Memo(dict):
-    """`memo[key]` is `make(key)`, made on first use."""
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.make(key)
-        return value
-
-
-def _scalar(value: Any) -> str:
-    """JSON text of a number: `repr` of an int or a finite float, which is
-    what `json` writes; `json.dumps` for anything else (NaN, a bool, ...)."""
-    kind = type(value)
-    if kind is int or (kind is float and math.isfinite(value)):
-        return repr(value)
-    return json.dumps(value)
-
-
-_DIM_TEXT = {d: encode_basestring_ascii(d.value) for d in Dimension}
 
 
 def write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
@@ -418,11 +408,6 @@ _NODE = (
 )
 
 
-def _array(items: list[str]) -> str:
-    """A window's edge or node array; `[]` when empty."""
-    return "[" + ",".join(items) + "\n      ]" if items else "[]"
-
-
 def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
     """`json.dumps(doc, sort_keys=True, indent=2)` of the graphs document
     plus a newline, rendered directly and written one window at a time.
@@ -453,7 +438,7 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
             )
             for gn in g.nodes
         ]
-        return _WINDOW.format(_array(edges), _array(nodes), _scalar(g.window_index))
+        return _WINDOW.format(_array(edges, 6), _array(nodes, 6), _scalar(g.window_index))
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_GRAPHS_OPEN)
@@ -477,6 +462,24 @@ def read_graphs(
         windows = None
     if not isinstance(windows, list):
         raise SchemaError("$.graphs", f"{path} is not a JSON object with a graphs array")
+    edge_of: dict[tuple, tuple[Label, Label, Any]] = {}
+
+    def edge(d1: Any, r1: Any, d2: Any, r2: Any, kind: Any) -> tuple[Label, Label, Any]:
+        """The edge of a `[dim, rule_id, dim, rule_id, kind]` row, converted
+        once per file. Only a row of a string, an int, a string and an int
+        is looked up, so that `1`, `1.0` and `true` never share an entry;
+        converting any other row raises, so it is never stored."""
+        typed = type(d1) is str and type(r1) is int and type(d2) is str and type(r2) is int
+        key = (d1, r1, d2, r2, kind)
+        found = edge_of.get(key) if typed else None
+        if found is None:
+            found = edge_of[key] = (
+                (dimension(d1), _typed(r1, "rule_id", int, "an integer")),
+                (dimension(d2), _typed(r2, "rule_id", int, "an integer")),
+                kind,
+            )
+        return found
+
     out: list[WindowGraph] = []
     for i, raw in enumerate(windows):
         try:
@@ -493,12 +496,7 @@ def read_graphs(
                 for n in raw["nodes"]
             )
             edges = frozenset(
-                (
-                    (dimension(d1), _typed(r1, "rule_id", int, "an integer")),
-                    (dimension(d2), _typed(r2, "rule_id", int, "an integer")),
-                    kind,
-                )
-                for d1, r1, d2, r2, kind in raw["edges"]
+                edge(d1, r1, d2, r2, kind) for d1, r1, d2, r2, kind in raw["edges"]
             )
             index = _typed(raw["window_index"], "window_index", int, "an integer")
             graph = WindowGraph(index, nodes, edges)

@@ -9,8 +9,8 @@ support and structural confidence are defined; the miner and
 `structural_confidences` count them without a search.
 Messages are masked by the four regex passes as first written, and
 canonicalized one record at a time through the public constructors. The
-interchange files are written by building their JSON documents and
-handing them to `json.dumps`.
+interchange files and the knowledge document are written by building
+their JSON documents and handing them to `json.dumps`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from logloom import (
     Digraph,
     Dimension,
     FailurePattern,
+    KnowledgeBase,
     LogRecord,
     RejectEntry,
     RuleInstance,
@@ -449,3 +450,39 @@ def reference_write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> N
     Path(path).write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+def reference_export(kb: KnowledgeBase) -> str:
+    """The knowledge document of `kb`, built whole and dumped by `json.dumps`."""
+    doc = {
+        "version": 1,
+        "metadata": kb.metadata,
+        "templates": [[tid, masked] for tid, masked in kb.templates.items()],
+        "rules": [
+            {
+                "rule_id": r.rule_id,
+                "dim": r.dim.value,
+                "antecedent": list(r.antecedent),
+                "consequent": r.consequent,
+                "support": r.support,
+                "confidence": r.confidence,
+            }
+            for r in sorted(kb.rules.values(), key=lambda r: (r.dim.rank, r.rule_id))
+        ],
+        "patterns": [
+            {
+                "nodes": [
+                    [i, label[0].value, label[1], weight]
+                    for i, (label, weight) in enumerate(zip(p.graph.labels, p.node_weights))
+                ],
+                "edges": sorted([u, v, el] for u, v, el in p.graph.edges),
+                "support": p.support,
+                "weighted_support": p.weighted_support,
+                "structural_confidence": p.structural_confidence,
+                "knowledge_confidence": p.knowledge_confidence,
+                "provenance": sorted(p.provenance),
+            }
+            for _, p in sorted(kb.patterns.items(), key=lambda item: item[0])
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"

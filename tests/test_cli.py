@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -259,6 +260,10 @@ class TestExitCodes:
                      id="graphs-float_edge_rule_id"),
         pytest.param("graphs.json", lambda doc: _first_edge(doc, 3, bool), "$.graphs[0]",
                      id="graphs-bool_edge_rule_id"),
+        pytest.param("graphs.json", lambda doc: _edge_seen_before(doc, 1, float), "$.graphs[1]",
+                     id="graphs-float_edge_rule_id_seen_as_int"),
+        pytest.param("graphs.json", lambda doc: _edge_seen_before(doc, 3, bool), "$.graphs[1]",
+                     id="graphs-bool_edge_rule_id_seen_as_int"),
         pytest.param("graphs.json",
                      lambda doc: {"graphs": [{**doc["graphs"][0], "window_index": "0"}]},
                      "$.graphs[0]", id="graphs-string_window_index"),
@@ -329,6 +334,15 @@ def _first_edge(doc: dict, position: int, cast) -> dict:
     return {"graphs": [{**window, "edges": [edge, *window["edges"][1:]]}]}
 
 
+def _edge_seen_before(doc: dict, position: int, cast) -> dict:
+    """graphs.json cut to its first window, followed by a copy whose first
+    edge is cast as in `_first_edge`, so the reader has already converted
+    the same row with an int rule id."""
+    (window,) = _first_edge(doc, position, lambda rule_id: rule_id)["graphs"]
+    (cast_window,) = _first_edge(doc, position, cast)["graphs"]
+    return {"graphs": [window, {**cast_window, "window_index": window["window_index"] + 1}]}
+
+
 class TestSynth:
     def test_outputs_exist(self, workdir):
         data = workdir / "data"
@@ -381,6 +395,48 @@ class TestDeterminism:
                 check=True, capture_output=True, timeout=120,
             )
             assert {name: (out / name).read_bytes() for name in INTERCHANGE} == expected, seed
+
+
+# A run in a fresh interpreter: import the package and its CLI, run the
+# pipeline on argv[1] into argv[2], and print which of argv[3:] are loaded.
+_FOOTPRINT_RUN = """
+import json, sys
+import logloom, logloom.cli
+logloom.run_pipeline(logloom.PipelineConfig(input=sys.argv[1], out=sys.argv[2]))
+print(json.dumps([name for name in sys.argv[3:] if name in sys.modules]))
+"""
+
+
+class TestFootprint:
+    # `hashlib` maps OpenSSL's libcrypto; `statistics` brings `decimal`
+    # and `fractions`. A run needs none of them.
+    UNNEEDED = ("_hashlib", "hashlib", "statistics", "decimal", "fractions")
+
+    def test_a_run_loads_no_hashlib_or_statistics(self, workdir, tmp_path):
+        src = Path(logloom.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_RUN, str(workdir / "data" / "log.jsonl"),
+             str(tmp_path / "out"), *self.UNNEEDED],
+            env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert json.loads(proc.stdout) == []
+        for name in INTERCHANGE:
+            assert (tmp_path / "out" / name).read_bytes() == (workdir / "run" / name).read_bytes()
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"min_sup": 0.5, "blacklist": [7, 2], "max_rate": 30, "combiner": "min",
+         "input": "log.jsonl", "out": "run"},
+    ], ids=["default", "non_default"])
+    def test_config_digest_is_sha256_of_the_knobs(self, knobs):
+        cfg = PipelineConfig.from_dict(knobs)
+        payload = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                   if f.name not in ("input", "out")}
+        payload["blacklist"] = sorted(payload["blacklist"])
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        assert config_digest(cfg) == hashlib.sha256(blob).hexdigest()[:16]
 
 
 class TestComposability:

@@ -313,6 +313,16 @@ class TestParseJsonl:
         with pytest.raises(ValueError):
             parse_lines(io.StringIO(""), fmt="xml")
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("jsonl", "".join(f'{{"ts": {t}, "node": "n{t % 2}", "dim": "event", "msg": "x"}}\n'
+                          for t in range(6))),
+        ("csv", "ts,node,dim,msg\n" + "".join(f"{t},n{t % 2},event,x\n" for t in range(6))),
+    ])
+    def test_records_of_one_node_share_one_string(self, fmt, text):
+        records = parse_lines(io.StringIO(text), fmt=fmt).records
+        assert [r.node for r in records] == ["n0", "n1"] * 3
+        assert len({id(r.node) for r in records}) == 2
+
 
 class TestParseCsv:
     def test_happy_path(self):

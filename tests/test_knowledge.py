@@ -1,7 +1,11 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_export
 from logloom import (
     Digraph,
     Dimension,
@@ -216,6 +220,103 @@ class TestExportLoad:
     def test_invalid_json_string(self):
         with pytest.raises(SchemaError):
             load("{nope")
+
+
+TEXTS = st.one_of(
+    st.sampled_from(["café <NUM>°", 'say "hi"', "back\\slash", "tab\tnew\nline",
+                     "ctl\x00\x1f\x7f", "line\u2028sep", "\U0001f680", ""]),
+    st.text(max_size=6),
+)
+# Scores the schema allows: ints and floats, both zeros and the least subnormal.
+SCORES = st.one_of(st.sampled_from([0, 0.0, -0.0, 1, 1.0, 5e-324, 1 / 3]), st.floats(0, 1))
+RULE_IDS = st.sampled_from([0, 1, 2, 2**70])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXTS
+    | st.sampled_from([0, 0.0, -0.0, 1, 1.0, 5e-324, 1e16]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXTS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def knowledge_bases(draw):
+    """A knowledge base `load` accepts: rules over its templates, and
+    connected patterns of 1-3 nodes over the rules' labels, repeats
+    allowed, with one node weight per label."""
+    masked = draw(st.lists(TEXTS, unique=True, max_size=4))
+    templates = TemplateTable.from_rows(enumerate(masked))
+    rules: dict = {}
+    if masked:
+        tids = st.integers(0, len(masked) - 1)
+        labels = st.tuples(st.sampled_from(list(Dimension)), RULE_IDS)
+        for dim, rid in draw(st.lists(labels, unique=True, max_size=4)):
+            rules[(dim, rid)] = SequenceRule(
+                rid, dim, tuple(draw(st.lists(tids, max_size=3))), draw(tids),
+                draw(SCORES), draw(SCORES),
+            )
+    patterns: dict = {}
+    weight = {label: draw(SCORES) for label in rules}
+    for _ in range(draw(st.integers(0, 4)) if rules else 0):
+        labels = draw(st.lists(st.sampled_from(list(rules)), min_size=1, max_size=3))
+        edges = set()
+        for j in range(1, len(labels)):
+            i = draw(st.integers(0, j - 1))
+            u, v = (i, j) if draw(st.booleans()) else (j, i)
+            edges.add((u, v, draw(st.sampled_from(["same", "cross"]))))
+        ws, support = sorted([draw(SCORES), draw(SCORES)])
+        p = FailurePattern.build(
+            Digraph(tuple(labels), frozenset(edges)), [weight[label] for label in labels],
+            support=support, weighted_support=ws,
+            structural_confidence=draw(SCORES), knowledge_confidence=draw(SCORES),
+            provenance=draw(st.frozensets(TEXTS.filter(bool), min_size=1, max_size=3)),
+        )
+        patterns[p.code] = p
+    metadata = draw(st.dictionaries(TEXTS, JSON_VALUES, max_size=4))
+    return KnowledgeBase(patterns, rules, templates, metadata)
+
+
+def _every_number_kb():
+    """0, 0.0, -0.0, 1 and 1.0 as scores, 5e-324 and 1e16 too, escaped
+    and non-ASCII text, a pattern without edges and nested metadata."""
+    kb = KnowledgeBase.new(
+        rules=[
+            _rule(A, support=0, confidence=1),
+            _rule(B, consequent=1, support=-0.0, confidence=1.0),
+            _rule(C, consequent=1, support=0.0, confidence=5e-324),
+        ],
+        templates=_templates("café <NUM>°", 'say "hi"\tback\\slash\u2028'),
+        metadata={"created": 1e16, "nested": {"list": [0, 0.0, -0.0, 1, 1.0, 5e-324, None, True],
+                                              "empty": {}, "none": []}},
+    )
+    merge(kb, [
+        _pattern([A, C], [(0, 1, "cross")], support=1, weighted_support=1.0,
+                 structural_confidence=0, knowledge_confidence=-0.0),
+        dataclasses.replace(
+            _pattern([B], [], support=5e-324, weighted_support=0.0,
+                     structural_confidence=1.0, knowledge_confidence=0.0),
+            provenance=frozenset({"mined", "expert:équipe \"nuit\""}),
+        ),
+    ])
+    return kb
+
+
+class TestExportEqualsReference:
+    """`export` renders the document directly; it must give the bytes of
+    `json.dumps` of the whole document, and `load` must give it back."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kb=knowledge_bases())
+    @example(kb=KnowledgeBase.new())
+    @example(kb=KnowledgeBase({}, {}, TemplateTable(), {}))
+    @example(kb=_every_number_kb())
+    def test_bytes_and_round_trip(self, kb):
+        text = export(kb)
+        assert text == reference_export(kb)
+        back = load(text)
+        assert back.patterns == kb.patterns
+        assert back.rules == kb.rules
+        assert list(back.templates.items()) == list(kb.templates.items())
+        assert back.metadata == kb.metadata
 
 
 class TestImportExpert:

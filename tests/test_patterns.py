@@ -1,9 +1,10 @@
 import itertools
 import random
 from collections import Counter
+from statistics import fmean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logloom import (
@@ -489,6 +490,25 @@ def window_databases(draw):
                     edges.add((u, v, kind))
         graphs.append(_window(index, labels, edges))
     return graphs
+
+
+class TestEmittedWeightedSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graphs=window_databases(),
+        weights=st.lists(st.floats(0, 1), min_size=len(LABEL_POOL), max_size=len(LABEL_POOL)),
+    )
+    # one window of three holds the path A -> B -> C, weighted 0.5, 0.5
+    # and 0.6: support * (s / n) and support * s / n differ in the last bit
+    @example(
+        graphs=[_window(0, [A, B, C], [(A, B, "same"), (B, C, "same")]),
+                _window(1, [A], []), _window(2, [A], [])],
+        weights=[0.5, 0.5, 1.0, 0.6, 1.0, 1.0],
+    )
+    def test_is_support_times_fmean_bit_for_bit(self, graphs, weights):
+        label_weights = dict(zip(LABEL_POOL, weights))
+        for p in mine_patterns(graphs, label_weights, ws_min=0.01, p_max=4):
+            assert p.weighted_support.hex() == (p.support * fmean(p.node_weights)).hex()
 
 
 class TestStructuralConfidences:
