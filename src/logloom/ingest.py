@@ -10,7 +10,8 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import compress, count, islice
+from operator import attrgetter, eq
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -162,17 +163,26 @@ class ParseError(Exception):
 # or `/`, and <PATH> swallows whatever they would mask inside its token,
 # so the result is the same and IP and HEX scan less text.
 #
-# Each pattern starts with a character class and checks the character
-# before the match in a lookbehind just after that class, so the regex
-# engine scans ahead to candidate characters instead of trying a match at
-# every position. The plainer spelling, with each lookbehind first, masks
+# Each pattern starts with a character class, so the regex engine scans
+# ahead to candidate characters instead of trying a match at every
+# position. IP and HEX check the character before the match in a
+# lookbehind just after that class, and NUM is spelled `\d\d*`, not
+# `\d+`, whose leading repeat the engine does not scan ahead for. The
+# plainer spellings, with each lookbehind first and NUM as `\d+`, mask
 # the same; the tests compare the two chains.
-_IP_RE = re.compile(r"\d(?<!\d\d)\d{0,2}(?:\.\d{1,3}){3}(?!\d)")
-_HEX_RE = re.compile(
-    r"[0-9a-fA-F](?<!\w[0-9a-fA-F])(?:(?<=0)[xX][0-9a-fA-F]{4,}\b|[0-9a-fA-F]{3,}\b)"
-)
+#
+# IP, HEX and NUM each have an ASCII-mode twin compiled from the same
+# pattern, which the chain runs on ASCII text. On ASCII text `\d`, `\w`
+# and `\b` match the same characters in both modes, so the twins mask
+# the same, and the engine tests character classes by table lookup.
+# PATH has no twin: `\S` differs between the modes on \x1c-\x1f.
+_IP = r"\d(?<!\d\d)\d{0,2}(?:\.\d{1,3}){3}(?!\d)"
+_HEX = r"[0-9a-fA-F](?<!\w[0-9a-fA-F])(?:(?<=0)[xX][0-9a-fA-F]{4,}\b|[0-9a-fA-F]{3,}\b)"
+_NUM = r"\d\d*"
+_IP_RE, _IP_ASCII_RE = re.compile(_IP), re.compile(_IP, re.ASCII)
+_HEX_RE, _HEX_ASCII_RE = re.compile(_HEX), re.compile(_HEX, re.ASCII)
+_NUM_RE, _NUM_ASCII_RE = re.compile(_NUM), re.compile(_NUM, re.ASCII)
 _PATH_RE = re.compile(r"/(?<!\S/)\S*")
-_NUM_RE = re.compile(r"\d+")
 
 EMPTY_TEMPLATE = "<EMPTY>"
 
@@ -183,6 +193,10 @@ _CHUNK = 512
 
 def _mask_chain(text: str) -> str:
     text = _PATH_RE.sub("<PATH>", text)
+    if text.isascii():
+        text = _IP_ASCII_RE.sub("<IP>", text)
+        text = _HEX_ASCII_RE.sub("<HEX>", text)
+        return _NUM_ASCII_RE.sub("<NUM>", text)
     text = _IP_RE.sub("<IP>", text)
     text = _HEX_RE.sub("<HEX>", text)
     return _NUM_RE.sub("<NUM>", text)
@@ -257,7 +271,9 @@ class TemplateTable:
     def load(cls, path: str | Path) -> "TemplateTable":
         table = cls()
         text = Path(path).read_text(encoding="utf-8")
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        # `_escape` leaves no newline in a template, but other characters
+        # that str.splitlines splits on, such as \x1c, stay as they are
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line:
                 continue
             tid_str, sep, payload = line.partition("\t")
@@ -360,9 +376,18 @@ def decode_json_line(text: str) -> object:
 
 
 def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
+    """Records and rejects of a JSON Lines stream.
+
+    A line the JSON scanner consumes whole into an object with a float
+    `ts` in [0, inf), a non-empty string `node`, a string `msg` and a
+    `dim` naming a member is a record as it stands, checked inline.
+    Every other line goes through `decode_json_line` and
+    `_record_from_fields`, which give its record or its reject.
+    """
     records: list[LogRecord] = []
     rejects: list[RejectEntry] = []
     nodes: dict[str, str] = {}
+    dims = _DIM_BY_VALUE
     for line_no, line in _decode_lines(stream):
         if line is None:
             rejects.append(RejectEntry(line_no, "not valid UTF-8", "<binary>"))
@@ -370,6 +395,24 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
         text = line.strip()
         if not text:
             continue
+        try:
+            obj, end = _scan_json(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(text) and type(obj) is dict:
+            ts, node, msg, dim = obj.get("ts"), obj.get("node"), obj.get("msg"), obj.get("dim")
+            if (
+                type(ts) is float and 0.0 <= ts < math.inf
+                and type(node) is str and node and type(msg) is str
+                and type(dim) is str and dim in dims
+            ):
+                record = _new(LogRecord)
+                _set_record_ts(record, ts)
+                _set_record_node(record, nodes.setdefault(node, node))
+                _set_record_dim(record, dims[dim])
+                _set_record_msg(record, msg)
+                records.append(record)
+                continue
         try:
             obj = decode_json_line(text)
         except (ValueError, RecursionError) as exc:
@@ -460,6 +503,30 @@ def _record_from_fields(
     return _log_record(float(ts), nodes.setdefault(node, node), dim, msg), ""
 
 
+_event_ts = attrgetter("ts")
+_event_sort_key = attrgetter("sort_key")
+
+
+def _sort_events(events: list[CanonicalEvent]) -> None:
+    """`events.sort(key=lambda e: e.sort_key)`, without a key tuple per event.
+
+    Both sorts are stable, so sorting by `ts` and then each run of equal
+    `ts` by the whole key gives the same order as one sort by the whole
+    key. Only events in such runs build their key.
+    """
+    events.sort(key=_event_ts)
+    times = list(map(_event_ts, events))
+    runs: list[list[int]] = []
+    # each position whose event has the `ts` of the one before it
+    for i in compress(count(1), map(eq, times, islice(times, 1, None))):
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i - 1, i + 1])
+    for lo, hi in runs:
+        events[lo:hi] = sorted(events[lo:hi], key=_event_sort_key)
+
+
 def canonicalize(
     records: Iterable[LogRecord],
     table: TemplateTable,
@@ -478,18 +545,24 @@ def canonicalize(
     records = iter(records)
     pos = 0
     while chunk := list(islice(records, _CHUNK)):
-        kept: list[tuple[LogRecord, Dimension]] = []
-        for record in chunk:
-            pos += 1
-            dim = record.dim if record.dim is not None else dim_default
-            if dim is None:
-                rejects.append(RejectEntry(pos, "record has no dimension", record.msg))
-            else:
-                kept.append((record, dim))
-        masked = _mask_messages([record.msg for record, _ in kept])
-        events += [
-            _canonical_event(record.ts, record.node, dim, id_for(text), 1)
-            for (record, dim), text in zip(kept, masked)
-        ]
-    events.sort(key=lambda e: e.sort_key)
+        kept = chunk if dim_default is not None else [r for r in chunk if r.dim is not None]
+        if len(kept) < len(chunk):
+            rejects += [
+                RejectEntry(pos + i, "record has no dimension", record.msg)
+                for i, record in enumerate(chunk, start=1)
+                if record.dim is None
+            ]
+        pos += len(chunk)
+        masked = _mask_messages([record.msg for record in kept])
+        # one id_for per distinct text, in first-seen order
+        tid = {text: id_for(text) for text in dict.fromkeys(masked)}
+        for record, text in zip(kept, masked):
+            event = _new(CanonicalEvent)
+            _set_event_ts(event, record.ts)
+            _set_event_node(event, record.node)
+            _set_event_dim(event, record.dim or dim_default)
+            _set_event_template(event, tid[text])
+            _set_event_count(event, 1)
+            events.append(event)
+    _sort_events(events)
     return events, rejects

@@ -33,6 +33,8 @@ from .ingest import (
     Dimension,
     RejectEntry,
     TemplateTable,
+    _DIM_BY_VALUE,
+    _canonical_event,
     canonicalize,
     decode_json_line,
     dimension,
@@ -320,11 +322,32 @@ def _span(value: Any) -> tuple[float, float]:
 
 def read_events(path: str | Path, templates: TemplateTable | None = None) -> list[CanonicalEvent]:
     """Events in stream order; a line sorting before its predecessor, or
-    naming a template id outside `templates` when given, is a SchemaError."""
-    last: tuple = ()
+    naming a template id outside `templates` when given, is a SchemaError.
+
+    A row of a float `ts` above its predecessor's, a string `node`, a
+    member's `dim` text and int `template` and `count` in range is built
+    as it stands. Every other row goes through the checks field by field,
+    which give its event or its error.
+    """
+    last: CanonicalEvent | None = None
+    last_ts = -math.inf
+    n_templates = math.inf if templates is None else len(templates)
+    dims = _DIM_BY_VALUE
 
     def build(raw: dict) -> CanonicalEvent:
-        nonlocal last
+        nonlocal last, last_ts
+        if type(raw) is dict:
+            ts, node, dim = raw.get("ts"), raw.get("node"), raw.get("dim")
+            template, count = raw.get("template"), raw.get("count", 1)
+            if (
+                type(ts) is float and last_ts < ts < math.inf
+                and type(node) is str and type(dim) is str and dim in dims
+                and type(template) is int and 0 <= template < n_templates
+                and type(count) is int and count >= 1
+            ):
+                last_ts = ts
+                last = _canonical_event(ts, node, dims[dim], template, count)
+                return last
         ev = CanonicalEvent(
             ts=_number(raw["ts"], "ts"),
             node=_typed(raw["node"], "node", str, "a string"),
@@ -332,12 +355,11 @@ def read_events(path: str | Path, templates: TemplateTable | None = None) -> lis
             template=_typed(raw["template"], "template", int, "an integer"),
             count=_typed(raw.get("count", 1), "count", int, "an integer"),
         )
-        key = ev.sort_key
-        if key < last:
+        if last is not None and ev.sort_key < last.sort_key:
             raise ValueError("event is out of stream order (ts, node, dim, template)")
         if templates is not None and not 0 <= ev.template < len(templates):
             raise ValueError(f"template {ev.template} is not in the templates file")
-        last = key
+        last, last_ts = ev, ev.ts
         return ev
 
     return _read_records(path, build)

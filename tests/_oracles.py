@@ -7,7 +7,8 @@ traversal, containment by trying every injective vertex mapping.
 patterns by a backtracking containment search over every host, the way
 support and structural confidence are defined; the miner and
 `structural_confidences` count them without a search.
-Messages are masked by the four regex passes as first written, and
+JSON Lines are parsed by `json.loads` per line with each field checked in
+turn. Messages are masked by the four regex passes as first written, and
 canonicalized one record at a time through the public constructors. The
 interchange files and the knowledge document are written by building
 their JSON documents and handing them to `json.dumps`.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 from statistics import fmean
@@ -29,6 +31,8 @@ from logloom import (
     FailurePattern,
     KnowledgeBase,
     LogRecord,
+    ParseError,
+    ParseResult,
     RejectEntry,
     RuleInstance,
     TemplateTable,
@@ -36,6 +40,74 @@ from logloom import (
 )
 from logloom.patterns import _adjacency, _arc_map, _rule_map, consequent_index, remove_node
 from logloom.synth import write_jsonl
+
+
+def _reference_record(obj: object, dim_default: Dimension | None) -> LogRecord | str:
+    """The record of one decoded line, or the reason it is rejected."""
+    if not isinstance(obj, dict):
+        return "record must be an object"
+    for key in ("ts", "node", "msg"):
+        if key not in obj:
+            return f"missing field: {key}"
+    ts = obj["ts"]
+    if isinstance(ts, str):
+        try:
+            ts = float(ts)
+        except ValueError:
+            return "ts must be a number"
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        return "ts must be a number"
+    if not math.isfinite(ts) or ts < 0:
+        return "ts must be a finite number >= 0"
+    node, msg = obj["node"], obj["msg"]
+    if not isinstance(node, str) or not node:
+        return "node must be a non-empty string"
+    if not isinstance(msg, str):
+        return "msg must be a string"
+    raw_dim = obj.get("dim")
+    if raw_dim is None or raw_dim == "":
+        if dim_default is None:
+            return "record has no dimension"
+        dim = dim_default
+    else:
+        try:
+            dim = Dimension(raw_dim)
+        except ValueError:
+            return f"unknown dimension: {raw_dim!r}"
+    return LogRecord(float(ts), node, dim, msg)
+
+
+def reference_parse_jsonl(
+    lines: Iterable[str | bytes], dim_default: Dimension | None = None
+) -> ParseResult:
+    """`parse_lines(lines, "jsonl", dim_default)` by `json.loads` per line."""
+    records: list[LogRecord] = []
+    rejects: list[RejectEntry] = []
+    for line_no, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                rejects.append(RejectEntry(line_no, "not valid UTF-8", "<binary>"))
+                continue
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            rejects.append(RejectEntry(line_no, f"invalid JSON: {msg}", text))
+            continue
+        record = _reference_record(obj, dim_default)
+        if isinstance(record, str):
+            rejects.append(RejectEntry(line_no, record, text))
+        else:
+            records.append(record)
+    total = len(records) + len(rejects)
+    if total and len(rejects) * 2 > total:
+        raise ParseError(f"rejected {len(rejects)} of {total} lines", rejects)
+    return ParseResult(records, rejects)
 
 
 # The masking chain as first written: each pattern opens with its

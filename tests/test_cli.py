@@ -464,6 +464,27 @@ class TestComposability:
         assert "digraph window_0" in (s / "4" / "graphs.dot").read_text()
 
 
+    def test_templates_holding_line_separators_pass_between_stages(self, tmp_path):
+        """Messages holding characters that str.splitlines splits on, which
+        the templates file keeps unescaped, go from ingest through
+        preprocess to mine-rules."""
+        seps = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        rows = [
+            {"ts": t + 10 * i, "node": "a", "dim": "event", "msg": f"disk{sep}full"}
+            for t in range(0, 3600, 300)
+            for i, sep in enumerate(seps)
+        ]
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        s = tmp_path
+        assert main(["ingest", "--input", str(log), "--out", str(s / "1")]) == 0
+        assert main(["preprocess", "--events", str(s / "1" / "events.jsonl"), "--out", str(s / "2")]) == 0
+        assert main([
+            "mine-rules", "--events", str(s / "2" / "events.jsonl"),
+            "--templates", str(s / "1" / "templates.tsv"), "--out", str(s / "3")]) == 0
+        doc = json.loads((s / "3" / "rules.json").read_text(encoding="utf-8"))
+        assert [masked for _, masked in doc["templates"]] == [f"disk{sep}full" for sep in seps]
+
     def test_stage_files_equal_reference_writers(self, tmp_path):
         """preprocess, mine-rules and build-graphs, run one by one on a
         hand-written log with int timestamps and a non-ASCII node, each

@@ -2,10 +2,12 @@ import dataclasses
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from _oracles import reference_canonicalize, reference_mask
-from hypothesis import example, given, settings
+from _oracles import reference_canonicalize, reference_mask, reference_parse_jsonl
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logloom import (
@@ -49,6 +51,9 @@ _CHUNK_MESSAGES = st.one_of(
         max_size=6,
     ).map("".join),
 )
+# ASCII text at the edges of the masks, with the separators \x1c-\x1f,
+# which `\s` matches in Unicode mode only.
+_ASCII_TEXT = st.text("0123456789abcdefABCDEFxX_./=:- \x1c\x1d\x1e\x1f", min_size=1, max_size=40)
 _RECORDS = st.builds(
     LogRecord,
     ts=st.integers(0, 5).map(float),
@@ -129,6 +134,19 @@ class TestMasking:
     def test_equals_reference_chain(self, msg):
         assert mask_message(msg) == reference_mask(msg)
 
+    @given(_ASCII_TEXT)
+    def test_ascii_branch_equals_reference(self, text):
+        assert ingest._mask_chain(text) == reference_mask(text)
+
+    @given(_ASCII_TEXT, st.integers(min_value=0), st.sampled_from(["é", "٣", "²", "\u2003", "\x85"]))
+    def test_unicode_branch_equals_reference(self, text, at, char):
+        """The same text with one non-ASCII character inserted where PATH
+        leaves it, so that IP, HEX and NUM run in Unicode mode."""
+        at %= len(text) + 1
+        text = text[:at] + char + text[at:]
+        assume(not ingest._PATH_RE.sub("<PATH>", text).isascii())
+        assert ingest._mask_chain(text) == reference_mask(text)
+
 
 class TestTemplateTable:
     def test_first_seen_contiguous_ids(self):
@@ -155,6 +173,19 @@ class TestTemplateTable:
         table.save(path)
         loaded = TemplateTable.load(path)
         assert list(loaded.items()) == list(table.items())
+
+    @given(st.lists(st.text(), unique=True, max_size=8))
+    def test_load_inverts_save(self, masked):
+        table = TemplateTable.from_rows(enumerate(masked))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "templates.tsv"
+            table.save(path)
+            assert list(TemplateTable.load(path).items()) == list(table.items())
+
+    def test_load_keeps_characters_splitlines_splits_on(self, tmp_path):
+        table = TemplateTable.from_rows(enumerate(["disk\x1cfull", "a\x0bb\x0cc", "\x85\u2028\u2029"]))
+        table.save(tmp_path / "templates.tsv")
+        assert list(TemplateTable.load(tmp_path / "templates.tsv")) == list(table)
 
     def test_load_rejects_gap_in_ids(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -240,6 +271,59 @@ class TestDecodeJsonLine:
         self._same_as_loads(prefix + body[: len(body) - cut] + suffix)
 
 
+# JSON texts of each field of a log line: valid values, and the
+# irregular values the checked path must see.
+_VALID_FIELDS = {
+    "ts": st.floats(0, 1e9).map(json.dumps),
+    "node": st.sampled_from(['"n1"', '"n2"', '"n\\u00e9"']),
+    "msg": st.sampled_from(['"disk 7 full"', '"a\\u001cb 0xbeef"', '""', '"\u2028é"']),
+    "dim": st.sampled_from(['"event"', '"ras"']),
+}
+_IRREGULAR_FIELDS = {
+    "ts": st.sampled_from(
+        ["3", "0", "true", '"2.5"', '"soon"', "NaN", "Infinity", "-0.0", "1e400", "-1.5", "null"]
+    ),
+    "node": st.sampled_from(['""', "5", "null"]),
+    "msg": st.sampled_from(["5", "null"]),
+    "dim": st.sampled_from(['""', '"weird"', "5", "null", '["event"]']),
+}
+
+
+@st.composite
+def _log_line(draw) -> bytes:
+    """A valid row, or one with a field irregular or missing, its fields in
+    any order, one of them repeated, text around it; or a line that is no
+    object, or no UTF-8."""
+    fields = {key: draw(texts) for key, texts in _VALID_FIELDS.items()}
+    odd = draw(st.sampled_from([None, *fields]))
+    if odd is not None and draw(st.booleans()):
+        fields[odd] = draw(_IRREGULAR_FIELDS[odd])
+    elif odd is not None:
+        del fields[odd]
+    pairs = draw(st.permutations(list(fields.items())))
+    if not draw(st.integers(0, 5)):
+        key = draw(st.sampled_from(pairs))[0]
+        pairs.append((key, draw(_VALID_FIELDS[key] | _IRREGULAR_FIELDS[key])))
+    body = "{" + ", ".join(f'"{key}": {text}' for key, text in pairs) + "}"
+    body = draw(st.sampled_from(["", "", "", " ", "\t", "\x1c", "\ufeff"])) + body
+    body += draw(st.sampled_from(["", "", "", " ", "\r", " x"]))
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        return b"\xff\xfe{}"
+    if kind == 1:
+        body = draw(st.sampled_from(["", "  ", "[1]", "7", '"x"', "null", "{", "{} {}", "garbage"]))
+    return body.encode("utf-8")
+
+
+def _parse_outcome(parse, data: bytes, dim_default):
+    """Records, by repr so that -0.0 and 0.0 differ, and rejects, or the ParseError."""
+    try:
+        result = parse(io.BytesIO(data), dim_default=dim_default)
+    except ParseError as exc:
+        return str(exc), exc.rejects
+    return repr(result.records), result.rejects
+
+
 def _jsonl(*objs):
     return io.StringIO("\n".join(json.dumps(o) for o in objs))
 
@@ -284,6 +368,44 @@ class TestParseJsonl:
         assert len(result.rejects) == 1
         assert result.rejects[0].line_no == 2
         assert reason_part in result.rejects[0].reason
+
+    @settings(max_examples=300)
+    @given(st.lists(_log_line(), max_size=10), st.none() | st.sampled_from(Dimension))
+    def test_equals_reference(self, lines, dim_default):
+        data = b"\n".join(lines)
+        assert _parse_outcome(parse_lines, data, dim_default) == _parse_outcome(
+            reference_parse_jsonl, data, dim_default
+        )
+
+    @pytest.mark.parametrize("dim_default", [None, Dimension.COMM])
+    def test_equals_reference_on_irregular_rows(self, dim_default):
+        good = '{"ts": 1.5, "node": "a", "dim": "event", "msg": "x"}'
+        irregular = [
+            '{"ts": 2, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": true, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": "2.5", "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": NaN, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": Infinity, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": -0.0, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": -1.5, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": 1e400, "node": "a", "dim": "event", "msg": "x"}',
+            '{"ts": 1.5, "node": "", "dim": "event", "msg": "x"}',
+            '{"ts": 1.5, "node": 5, "dim": "event", "msg": "x"}',
+            '{"ts": 1.5, "node": "a", "dim": "event", "msg": 5}',
+            '{"ts": 1.5, "node": "a", "msg": "x"}',
+            '{"ts": 1.5, "node": "a", "dim": "", "msg": "x"}',
+            '{"ts": 1.5, "node": "a", "dim": "weird", "msg": "x"}',
+            '{"ts": "x", "node": "a", "dim": "event", "msg": "x", "ts": 2.5}',
+            '{"ts": 2.5, "node": "a", "dim": "event", "msg": "x", "ts": "x"}',
+            ' {"ts": 1.5, "node": "a", "dim": "event", "msg": "x"}\t',
+            '\ufeff{"ts": 1.5, "node": "a", "dim": "event", "msg": "x"}',
+            '["ts", 1.5]',
+        ]
+        lines = [line.encode("utf-8") for row in irregular for line in (good, row)]
+        data = b"\n".join(lines + [b"\xff\xfe", good.encode("utf-8")])
+        assert _parse_outcome(parse_lines, data, dim_default) == _parse_outcome(
+            reference_parse_jsonl, data, dim_default
+        )
 
     def test_dim_default_fills_missing(self):
         result = parse_lines(

@@ -6,11 +6,20 @@ and handing it to `json.dumps` gives, and read back to the records
 written.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_write_events, reference_write_graphs, reference_write_instances
-from logloom import CanonicalEvent, Dimension, GraphNode, RuleInstance, WindowGraph
+from logloom import (
+    CanonicalEvent,
+    Dimension,
+    GraphNode,
+    RuleInstance,
+    SchemaError,
+    TemplateTable,
+    WindowGraph,
+)
 from logloom.pipeline import (
     read_events,
     read_graphs,
@@ -137,6 +146,35 @@ class TestRoundTrip:
         evs = sorted(evs, key=lambda e: e.sort_key)
         write_events(evs, tmp_path / "events.jsonl")
         assert read_events(tmp_path / "events.jsonl") == evs
+
+    @SETTINGS
+    # few distinct times, as floats and ints, so that many events tie on ts
+    @given(evs=events(st.sampled_from([0.0, -0.0, 0, 1.5, 2.0, 2])), sort=st.booleans(),
+           n_templates=st.none() | st.just(3))
+    @example(evs=[CanonicalEvent(1.5, "b", Dimension.EVENT, 0, 1),
+                  CanonicalEvent(1.5, "a", Dimension.EVENT, 0, 1)], sort=False, n_templates=None)
+    def test_events_fault_is_the_first_line_out_of_order_or_range(
+        self, tmp_path, evs, sort, n_templates
+    ):
+        if sort:
+            evs = sorted(evs, key=lambda e: e.sort_key)
+        fault = None
+        for i, ev in enumerate(evs):
+            if i and ev.sort_key < evs[i - 1].sort_key:
+                fault = f"line {i + 1}: event is out of stream order"
+            elif n_templates is not None and not 0 <= ev.template < n_templates:
+                fault = f"line {i + 1}: template {ev.template} is not in the templates file"
+            if fault:
+                break
+        templates = TemplateTable.from_rows(enumerate("abc")) if n_templates else None
+        path = tmp_path / "events.jsonl"
+        write_events(evs, path)
+        if fault is None:
+            assert read_events(path, templates) == evs
+        else:
+            with pytest.raises(SchemaError) as err:
+                read_events(path, templates)
+            assert str(err.value).startswith(f"{path}: {fault}")
 
     @SETTINGS
     @given(xs=instances(FINITE))
