@@ -1,145 +1,60 @@
-"""Mining cross-dimension failure knowledge from cluster system logs."""
+"""Mining cross-dimension failure knowledge from cluster system logs.
 
-from .ingest import (
-    CanonicalEvent,
-    Dimension,
-    LogRecord,
-    ParseError,
-    ParseResult,
-    RejectEntry,
-    TemplateTable,
-    canonicalize,
-    extract_template,
-    mask_message,
-    parse_lines,
-)
-from .preprocess import (
-    CoalescePolicy,
-    NoisePolicy,
-    NoiseReport,
-    coalesce,
-    filter_noise,
-)
-from .episodes import (
-    EmptyDimensionError,
-    Episode,
-    RuleInstance,
-    SequenceRule,
-    count_window_support,
-    derive_rules,
-    find_instances,
-    mine_episodes,
-)
-from .graphs import (
-    GraphConfig,
-    GraphNode,
-    WindowGraph,
-    build_window_graphs,
-    label_weights,
-    rule_weight,
-    window_graph_to_dot,
-)
-from .patterns import (
-    Digraph,
-    FailurePattern,
-    knowledge_confidence,
-    min_dfs_code,
-    mine_patterns,
-    pattern_to_dot,
-)
-from .knowledge import (
-    KnowledgeBase,
-    MergeReport,
-    QueryResult,
-    SchemaError,
-    export,
-    import_expert,
-    load,
-    merge,
-    query_root_causes,
-)
-from .synth import (
-    BackgroundSource,
-    CausalChain,
-    ChainEvent,
-    ScenarioError,
-    ScenarioSpec,
-    generate,
-    load_scenario,
-    scenario_from_dict,
-)
-from .pipeline import (
-    ConfigError,
-    PipelineConfig,
-    PipelineResult,
-    config_digest,
-    load_blacklist,
-    load_config,
-    run_pipeline,
-)
+Each public name, and each layer module, is imported on first use
+(PEP 562), so a process loads only the layers it calls.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "ingest": (
+        "CanonicalEvent", "Dimension", "LogRecord", "ParseError", "ParseResult",
+        "RejectEntry", "TemplateTable", "canonicalize", "extract_template",
+        "mask_message", "parse_lines",
+    ),
+    "preprocess": ("CoalescePolicy", "NoisePolicy", "NoiseReport", "coalesce", "filter_noise"),
+    "episodes": (
+        "EmptyDimensionError", "Episode", "RuleInstance", "SequenceRule",
+        "count_window_support", "derive_rules", "find_instances", "mine_episodes",
+    ),
+    "graphs": (
+        "GraphConfig", "GraphNode", "WindowGraph", "build_window_graphs",
+        "label_weights", "rule_weight", "window_graph_to_dot",
+    ),
+    "patterns": (
+        "Digraph", "FailurePattern", "knowledge_confidence", "min_dfs_code",
+        "mine_patterns", "pattern_to_dot",
+    ),
+    "knowledge": (
+        "KnowledgeBase", "MergeReport", "QueryResult", "SchemaError", "export",
+        "import_expert", "load", "merge", "query_root_causes",
+    ),
+    "synth": (
+        "BackgroundSource", "CausalChain", "ChainEvent", "ScenarioError",
+        "ScenarioSpec", "generate", "load_scenario", "scenario_from_dict",
+    ),
+    "pipeline": (
+        "ConfigError", "PipelineConfig", "PipelineResult", "config_digest",
+        "load_blacklist", "load_config", "run_pipeline",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackgroundSource",
-    "CanonicalEvent",
-    "CausalChain",
-    "ChainEvent",
-    "CoalescePolicy",
-    "ConfigError",
-    "Digraph",
-    "Dimension",
-    "EmptyDimensionError",
-    "Episode",
-    "FailurePattern",
-    "GraphConfig",
-    "GraphNode",
-    "KnowledgeBase",
-    "LogRecord",
-    "MergeReport",
-    "NoisePolicy",
-    "NoiseReport",
-    "ParseError",
-    "ParseResult",
-    "PipelineConfig",
-    "PipelineResult",
-    "QueryResult",
-    "RejectEntry",
-    "RuleInstance",
-    "ScenarioError",
-    "ScenarioSpec",
-    "SchemaError",
-    "SequenceRule",
-    "TemplateTable",
-    "WindowGraph",
-    "build_window_graphs",
-    "canonicalize",
-    "coalesce",
-    "config_digest",
-    "count_window_support",
-    "derive_rules",
-    "export",
-    "extract_template",
-    "filter_noise",
-    "find_instances",
-    "generate",
-    "import_expert",
-    "knowledge_confidence",
-    "label_weights",
-    "load",
-    "load_blacklist",
-    "load_config",
-    "load_scenario",
-    "mask_message",
-    "merge",
-    "min_dfs_code",
-    "mine_episodes",
-    "mine_patterns",
-    "parse_lines",
-    "pattern_to_dot",
-    "query_root_causes",
-    "rule_weight",
-    "run_pipeline",
-    "scenario_from_dict",
-    "window_graph_to_dot",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -268,7 +268,9 @@ def _read_records(path: str | Path, build) -> list:
     SchemaError naming the file and line.
     """
     out = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    # read_text turns \r\n and \r into \n; splitlines() would also split
+    # inside a JSON string holding a raw U+2028, U+2029 or \x85.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue

@@ -197,18 +197,18 @@ def generate(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
     if problems:
         raise ScenarioError(problems)
     rng = random.Random(spec.seed)
+    duration = spec.duration
     records: list[dict] = []
 
     for src in spec.background:
         if src.rate <= 0:
             continue
         lam = src.rate / 3600.0
+        dim, msg = src.dim.value, src.msg
         for node in spec.nodes:
             t = rng.expovariate(lam)
-            while t < spec.duration:
-                records.append(
-                    {"ts": t, "node": node, "dim": src.dim.value, "msg": src.msg}
-                )
+            while t < duration:
+                records.append({"ts": t, "node": node, "dim": dim, "msg": msg})
                 t += rng.expovariate(lam)
 
     pairs: list[dict] = []
@@ -217,7 +217,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
             continue
         period = 3600.0 / chain.per_hour
         t = period / 2.0
-        while t < spec.duration:
+        while t < duration:
             trigger = {
                 "ts": t,
                 "node": chain.trigger.node,
@@ -243,7 +243,8 @@ def generate(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
 
 
 def write_jsonl(rows: Iterable[Mapping[str, Any]], path: str | Path) -> None:
+    """One `json.dumps(row, sort_keys=True)` line per row, from one encoder."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(encode(row) + "\n" for row in rows)
 

@@ -11,7 +11,8 @@ JSON Lines are parsed by `json.loads` per line with each field checked in
 turn. Messages are masked by the four regex passes as first written, and
 canonicalized one record at a time through the public constructors. The
 interchange files and the knowledge document are written by building
-their JSON documents and handing them to `json.dumps`.
+their JSON documents and handing them to `json.dumps`, one call per line
+of a JSON Lines file.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from logloom import (
     WindowGraph,
 )
 from logloom.patterns import _adjacency, _arc_map, _rule_map, consequent_index, remove_node
-from logloom.synth import write_jsonl
 
 
 def _reference_record(obj: object, dim_default: Dimension | None) -> LogRecord | str:
@@ -477,13 +477,19 @@ def pattern_confidence(pattern: FailurePattern, graphs: Sequence, rules) -> floa
 
 
 
+def reference_write_jsonl(rows: Iterable[Mapping], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def reference_write_events(events: Iterable[CanonicalEvent], path: str | Path) -> None:
     rows = (
         {"ts": ev.ts, "node": ev.node, "dim": ev.dim.value,
          "template": ev.template, "count": ev.count}
         for ev in events
     )
-    write_jsonl(rows, path)
+    reference_write_jsonl(rows, path)
 
 
 def reference_write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None:
@@ -492,7 +498,7 @@ def reference_write_instances(instances: Iterable[RuleInstance], path: str | Pat
          "span": list(inst.span), "node": inst.node}
         for inst in instances
     )
-    write_jsonl(rows, path)
+    reference_write_jsonl(rows, path)
 
 
 def reference_write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:

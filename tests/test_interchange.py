@@ -189,3 +189,39 @@ class TestRoundTrip:
     def test_graphs(self, tmp_path, gs):
         write_graphs(gs, tmp_path / "graphs.json")
         assert read_graphs(tmp_path / "graphs.json") == gs
+
+
+# Characters str.splitlines() breaks lines on that a JSON string may hold raw.
+LINE_BREAKING = ["\u2028", "\u2029", "\x85"]
+
+
+class TestLineSplitting:
+    """Readers split files on newlines alone; read_text folds CRLF and CR."""
+
+    EVENT = '{{"count": 1, "dim": "event", "node": "{}", "template": 0, "ts": {}}}'
+    INSTANCE = '{{"anchor": {1}, "dim": "event", "node": "{0}", "rule_id": 0, "span": [{1}, {1}]}}'
+
+    @pytest.mark.parametrize("char", LINE_BREAKING, ids=["u2028", "u2029", "x85"])
+    def test_events_node_holding_a_line_breaking_character(self, tmp_path, char):
+        path = tmp_path / "events.jsonl"
+        path.write_text(self.EVENT.format(f"a{char}b", 1.5) + "\n", encoding="utf-8")
+        assert read_events(path) == [CanonicalEvent(1.5, f"a{char}b", Dimension.EVENT, 0, 1)]
+
+    @pytest.mark.parametrize("char", LINE_BREAKING, ids=["u2028", "u2029", "x85"])
+    def test_instances_node_holding_a_line_breaking_character(self, tmp_path, char):
+        path = tmp_path / "instances.jsonl"
+        path.write_text(self.INSTANCE.format(f"a{char}b", 1.5) + "\n", encoding="utf-8")
+        assert read_instances(path) == [
+            RuleInstance(0, Dimension.EVENT, 1.5, (1.5, 1.5), f"a{char}b")]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_files(self, tmp_path, newline):
+        events, instances = tmp_path / "events.jsonl", tmp_path / "instances.jsonl"
+        events.write_bytes(newline.join(
+            self.EVENT.format(n, ts) for n, ts in [("a", 1.5), ("b", 2.5)]).encode() + b"\r\n")
+        instances.write_bytes(newline.join(
+            self.INSTANCE.format(n, a) for n, a in [("a", 1.5), ("b", 2.5)]).encode())
+        assert read_events(events) == [CanonicalEvent(1.5, "a", Dimension.EVENT, 0, 1),
+                                        CanonicalEvent(2.5, "b", Dimension.EVENT, 0, 1)]
+        assert read_instances(instances) == [
+            RuleInstance(0, Dimension.EVENT, a, (a, a), n) for n, a in [("a", 1.5), ("b", 2.5)]]

@@ -1,7 +1,11 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from _oracles import reference_write_jsonl
 from logloom import (
     BackgroundSource,
     CausalChain,
@@ -200,3 +204,37 @@ class TestJsonl:
         assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == rows
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == '{"a": 1, "b": 2}'
+
+
+TEXT = st.one_of(
+    st.sampled_from(["nœud-β", 'say "hi"', "back\\slash", "ctl\x00\x1f\x7f", "line\u2028sep",
+                     "para\u2029sep", "nel\x85", "\U0001f680", ""]),
+    st.text(max_size=6),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), TEXT,
+    st.integers(), st.sampled_from([2**64, -(2**70), 2**200]),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16]),
+)
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+# A truth.jsonl row: a trigger and an effect, each a log record.
+TRUTH_ROW = {
+    "effect": {"dim": "status", "msg": "disk\u2028full", "node": "n01", "ts": 12.5},
+    "trigger": {"dim": "event", "msg": "config", "node": "n00", "ts": -0.0},
+}
+ODD_ROWS = [TRUTH_ROW, {"ts": math.nan, "x": math.inf, "y": -math.inf, "n": None, "b": True,
+                        "big": 2**70, "z": -0.0, "s": "ctl\x00\x85\u2028\U0001f680"}]
+
+
+class TestJsonlEqualsJsonDumps:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.dictionaries(TEXT, VALUES, max_size=5), max_size=5))
+    @example(rows=ODD_ROWS)
+    def test_bytes(self, tmp_path, rows):
+        write_jsonl(rows, tmp_path / "new")
+        reference_write_jsonl(rows, tmp_path / "ref")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
