@@ -12,14 +12,14 @@ _EXPORTS = {
         "RejectEntry", "TemplateTable", "canonicalize", "extract_template",
         "mask_message", "parse_lines",
     ),
-    "preprocess": ("CoalescePolicy", "NoisePolicy", "NoiseReport", "coalesce", "filter_noise"),
+    "preprocess": ("NoiseReport", "coalesce", "filter_noise"),
     "episodes": (
         "EmptyDimensionError", "Episode", "RuleInstance", "SequenceRule",
         "count_window_support", "derive_rules", "find_instances", "mine_episodes",
     ),
     "graphs": (
-        "GraphConfig", "GraphNode", "WindowGraph", "build_window_graphs",
-        "label_weights", "rule_weight", "window_graph_to_dot",
+        "GraphNode", "WindowGraph", "build_window_graphs", "label_weights",
+        "rule_weight", "window_graph_to_dot",
     ),
     "patterns": (
         "Digraph", "FailurePattern", "knowledge_confidence", "min_dfs_code",

@@ -15,7 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .graphs import label_text, window_graph_to_dot
-from .ingest import Dimension, ParseError, TemplateTable
+from .ingest import Dimension, ParseError, TemplateTable, read_text
 from .knowledge import (
     NODE_SCOPES,
     SchemaError,
@@ -170,8 +170,8 @@ def _cmd_mine_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    kb = load(Path(args.kb).read_text(encoding="utf-8"))
-    incoming_text = Path(args.incoming).read_text(encoding="utf-8")
+    kb = load(read_text(args.kb))
+    incoming_text = read_text(args.incoming)
     warnings: list[str] = []
     if args.expert:
         incoming = import_expert(incoming_text)
@@ -235,7 +235,7 @@ def _describe_pattern(p) -> str:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    kb = load(Path(args.kb).read_text(encoding="utf-8"))
+    kb = load(read_text(args.kb))
     dim, kind, ident = _parse_target(args.target)
     try:
         if kind == "rule":
@@ -258,7 +258,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    kb = load(Path(args.kb).read_text(encoding="utf-8"))
+    kb = load(read_text(args.kb))
     if args.dot:
         ordered = sorted(kb.patterns.items())
         text = "".join(

@@ -20,23 +20,6 @@ EDGE_KINDS = (SAME_NODE, CROSS_NODE)
 
 
 @dataclass(frozen=True)
-class GraphConfig:
-    """Tumbling window width, edge lag ceiling and node weight source."""
-
-    corr_window: float = 300.0
-    max_lag: float = 120.0
-    weight_mode: str = "confidence"
-
-    def __post_init__(self) -> None:
-        if self.corr_window <= 0:
-            raise ValueError("corr_window must be > 0")
-        if not 0 < self.max_lag <= self.corr_window:
-            raise ValueError("max_lag must be in (0, corr_window]")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-
-
-@dataclass(frozen=True)
 class GraphNode:
     label: Label
     weight: float
@@ -113,25 +96,35 @@ def label_weights(rules: Iterable[SequenceRule], weight_mode: str) -> dict[Label
 def build_window_graphs(
     instances: Sequence[RuleInstance],
     rules: Iterable[SequenceRule],
-    config: GraphConfig,
+    corr_window: float,
+    max_lag: float,
+    weight_mode: str,
 ) -> list[WindowGraph]:
     """Partition instances into tumbling windows and build one graph each.
 
-    Windows of width `corr_window` start at the earliest anchor; an
-    instance belongs to window floor((anchor - t_min) / corr_window).
+    Windows of width `corr_window` seconds start at the earliest anchor;
+    an instance belongs to window floor((anchor - t_min) / corr_window).
     Duplicate labels inside a window collapse to the earliest-anchored
-    instance. Edges run between nodes with anchor(u) < anchor(v) and
-    lag at most `max_lag`, labeled by whether the two instances came
-    from the same cluster node. Empty windows are omitted.
+    instance, and each node weighs its rule by `weight_mode`, one of
+    WEIGHT_MODES. Edges run between nodes with anchor(u) < anchor(v) and
+    lag at most `max_lag` seconds, labeled by whether the two instances
+    came from the same cluster node. Empty windows are omitted. The knobs
+    are checked first, so a bad one is a ValueError even with no instances.
     """
+    if corr_window <= 0:
+        raise ValueError("corr_window must be > 0")
+    if not 0 < max_lag <= corr_window:
+        raise ValueError("max_lag must be in (0, corr_window]")
+    if weight_mode not in WEIGHT_MODES:
+        raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     if not instances:
         return []
-    weight_of = label_weights(rules, config.weight_mode)
+    weight_of = label_weights(rules, weight_mode)
     t_min = min(inst.anchor for inst in instances)
 
     buckets: dict[int, list[RuleInstance]] = {}
     for inst in instances:
-        idx = math.floor((inst.anchor - t_min) / config.corr_window)
+        idx = math.floor((inst.anchor - t_min) / corr_window)
         buckets.setdefault(idx, []).append(inst)
 
     out: list[WindowGraph] = []
@@ -149,7 +142,7 @@ def build_window_graphs(
         edges: set[tuple[Label, Label, str]] = set()
         for u in nodes:
             for v in nodes:
-                if u.anchor < v.anchor and v.anchor - u.anchor <= config.max_lag:
+                if u.anchor < v.anchor and v.anchor - u.anchor <= max_lag:
                     kind = SAME_NODE if u.node == v.node else CROSS_NODE
                     edges.add((u.label, v.label, kind))
         out.append(WindowGraph(idx, nodes, frozenset(edges)))

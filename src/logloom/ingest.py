@@ -147,11 +147,28 @@ class ParseResult:
 
 
 class ParseError(Exception):
-    """Raised when the input stream as a whole is unusable."""
+    """Raised when an input stream or file as a whole is unusable."""
 
     def __init__(self, message: str, rejects: list[RejectEntry] | None = None):
         super().__init__(message)
         self.rejects = rejects or []
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file `path`, with CRLF and CR line ends read
+    as LF. Every whole-file read goes through here, so that a file that
+    is not UTF-8 is a ParseError naming it, not a UnicodeDecodeError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+
+
+def json_fault(exc: ValueError | RecursionError) -> str:
+    """Why `json.loads` failed: a JSONDecodeError's message without its
+    position, else the error's text, as for an integer past CPython's
+    digit limit or arrays nested past the recursion limit."""
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
 # Masking rules. Templates are as if IP, HEX, PATH and NUM ran in that
@@ -270,7 +287,7 @@ class TemplateTable:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateTable":
         table = cls()
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         # `_escape` leaves no newline in a template, but other characters
         # that str.splitlines splits on, such as \x1c, stay as they are
         for line_no, line in enumerate(text.split("\n"), start=1):

@@ -10,7 +10,7 @@ from typing import Any, Iterable, Mapping
 
 from .episodes import SequenceRule
 from .graphs import EDGE_KINDS, Label, label_text
-from .ingest import Dimension, TemplateTable, dimension
+from .ingest import Dimension, TemplateTable, dimension, json_fault
 from .patterns import DfsCode, Digraph, FailurePattern, consequent_index, remove_node
 
 DOC_VERSION = 1
@@ -222,7 +222,7 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _number(value: Any, path: str, *args: Any) -> float:
+def _fraction(value: Any, path: str, *args: Any) -> float:
     """`value` as a float if it is a number within [0, 1]; a bool is not
     one. Otherwise a SchemaError at `path.format(*args)`."""
     if not (_is_int(value) or isinstance(value, float)):
@@ -277,7 +277,7 @@ def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
         if not (_is_int(rid) and rid >= 0):
             raise SchemaError(f"$.patterns[{k}].nodes[{i}]", "rule_id must be a non-negative integer")
         labels[index] = (dim, rid)
-        weights[index] = _number(weight, "$.patterns[{}].nodes[{}].weight", k, i)
+        weights[index] = _fraction(weight, "$.patterns[{}].nodes[{}].weight", k, i)
     if set(labels) != set(range(len(nodes))):
         raise SchemaError(f"$.patterns[{k}].nodes", "indexes must cover 0..n-1")
 
@@ -304,7 +304,7 @@ def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
 
     defaults = {} if strict else _EXPERT_DEFAULTS
     kc, support, ws, sc = (
-        _number(entry.get(key, defaults.get(key)), "$.patterns[{}].{}", k, key)
+        _fraction(entry.get(key, defaults.get(key)), "$.patterns[{}].{}", k, key)
         for key in _SCORES
     )
     provenance = entry.get("provenance", defaults.get("provenance"))
@@ -335,8 +335,8 @@ def _as_doc(doc: str | Mapping[str, Any]) -> Mapping[str, Any]:
     if isinstance(doc, str):
         try:
             parsed = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError("$", f"invalid JSON: {json_fault(exc)}") from None
     else:
         parsed = doc
     if not isinstance(parsed, Mapping):
@@ -396,8 +396,8 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
         consequent = raw.get("consequent")
         if not is_template(consequent):
             raise SchemaError(f"$.rules[{k}].consequent", "must be a template id")
-        support = _number(raw.get("support"), "$.rules[{}].support", k)
-        confidence = _number(raw.get("confidence"), "$.rules[{}].confidence", k)
+        support = _fraction(raw.get("support"), "$.rules[{}].support", k)
+        confidence = _fraction(raw.get("confidence"), "$.rules[{}].confidence", k)
         label = (dim, rid)
         if label in rules:
             raise SchemaError(f"$.rules[{k}]", f"duplicate rule {label_text(label)}")

@@ -19,7 +19,6 @@ from .episodes import (
 )
 from .graphs import (
     WEIGHT_MODES,
-    GraphConfig,
     GraphNode,
     Label,
     WindowGraph,
@@ -38,7 +37,9 @@ from .ingest import (
     canonicalize,
     decode_json_line,
     dimension,
+    json_fault,
     parse_lines,
+    read_text,
 )
 from .knowledge import (
     KnowledgeBase,
@@ -59,7 +60,7 @@ from .patterns import (
     mine_patterns,
     structural_confidences,
 )
-from .preprocess import CoalescePolicy, NoisePolicy, NoiseReport, coalesce, filter_noise
+from .preprocess import NoiseReport, coalesce, filter_noise
 
 # The SHA-256 CPython builds in, so that a run does not map OpenSSL's
 # libcrypto, as `hashlib` does, to hash one small config document.
@@ -226,10 +227,11 @@ def config_digest(cfg: PipelineConfig) -> str:
 
 def read_config(path: str | Path) -> dict[str, Any]:
     """The JSON object in a config file, not yet validated."""
+    text = read_text(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("$", f"config is not valid JSON: {exc.msg}") from None
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("$", f"config is not valid JSON: {json_fault(exc)}") from None
     if not isinstance(data, dict):
         raise ConfigError("$", "config must be a JSON object")
     return data
@@ -242,7 +244,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 def load_blacklist(path: str | Path) -> frozenset[int]:
     """Read template ids from a text file, one per line, '#' comments allowed."""
     ids: set[int] = set()
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for line_no, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -270,7 +272,7 @@ def _read_records(path: str | Path, build) -> list:
     out = []
     # read_text turns \r\n and \r into \n; splitlines() would also split
     # inside a JSON string holding a raw U+2028, U+2029 or \x85.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -383,7 +385,7 @@ def rules_doc(
 
 
 def read_rules_doc(path: str | Path) -> KnowledgeBase:
-    return load(Path(path).read_text(encoding="utf-8"))
+    return load(read_text(path))
 
 
 def write_instances(instances: Iterable[RuleInstance], path: str | Path) -> None:
@@ -480,8 +482,9 @@ def read_graphs(
     that fails `WindowGraph.check()`, or has a node label that is not
     among `rules`, when given, is a SchemaError at `$.graphs[i]`."""
     labels = None if rules is None else {r.label for r in rules}
+    text = read_text(path)
     try:
-        windows = json.loads(Path(path).read_text(encoding="utf-8"))["graphs"]
+        windows = json.loads(text)["graphs"]
     except (KeyError, TypeError, ValueError, RecursionError):
         windows = None
     if not isinstance(windows, list):
@@ -553,11 +556,9 @@ def ingest_stage(
 def preprocess_stage(
     cfg: PipelineConfig, events: Sequence[CanonicalEvent]
 ) -> tuple[list[CanonicalEvent], int, NoiseReport]:
-    coalesced = coalesce(events, CoalescePolicy(gap=cfg.gap))
+    coalesced = coalesce(events, cfg.gap)
     merged_away = len(events) - len(coalesced)
-    kept, report = filter_noise(
-        coalesced, NoisePolicy(blacklist=frozenset(cfg.blacklist), max_rate=cfg.max_rate)
-    )
+    kept, report = filter_noise(coalesced, cfg.blacklist, cfg.max_rate)
     return kept, merged_away, report
 
 
@@ -584,10 +585,7 @@ def graphs_stage(
     instances: Sequence[RuleInstance],
     rules: Sequence[SequenceRule],
 ) -> list[WindowGraph]:
-    gcfg = GraphConfig(
-        corr_window=cfg.corr_window, max_lag=cfg.max_lag, weight_mode=cfg.weight_mode
-    )
-    return build_window_graphs(instances, rules, gcfg)
+    return build_window_graphs(instances, rules, cfg.corr_window, cfg.max_lag, cfg.weight_mode)
 
 
 def patterns_stage(

@@ -3,36 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .ingest import CanonicalEvent, _canonical_event
-
-
-@dataclass(frozen=True)
-class CoalescePolicy:
-    """Repeats of one (node, dim, template) stream within `gap` seconds merge."""
-
-    gap: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.gap <= 0:
-            raise ValueError("gap must be > 0")
-
-
-@dataclass(frozen=True)
-class NoisePolicy:
-    """Template blacklist plus an optional per-stream rate ceiling.
-
-    `max_rate` is in events per hour per (node, template); None disables
-    the rate check.
-    """
-
-    blacklist: frozenset[int] = frozenset()
-    max_rate: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_rate is not None and self.max_rate <= 0:
-            raise ValueError("max_rate must be > 0")
 
 
 @dataclass
@@ -53,22 +26,24 @@ class NoiseReport:
         return "\n".join(lines)
 
 
-def coalesce(events: Sequence[CanonicalEvent], policy: CoalescePolicy) -> list[CanonicalEvent]:
+def coalesce(events: Sequence[CanonicalEvent], gap: float) -> list[CanonicalEvent]:
     """Merge bursts of identical events into their first occurrence.
 
     Within each (node, dim, template) stream, an event lands on the last
-    kept representative when their gap is at most `policy.gap` seconds;
-    the representative accumulates the merged repeat counts. Gaps are
-    measured against the kept event, not the previous raw event, so a
-    slow drizzle cannot chain into one giant merge. Requires `events`
+    kept representative when their gap is at most `gap` seconds, which
+    must be > 0; the representative accumulates the merged repeat counts.
+    Gaps are measured against the kept event, not the previous raw event,
+    so a slow drizzle cannot chain into one giant merge. Requires `events`
     globally sorted; output order is preserved.
     """
+    if gap <= 0:
+        raise ValueError("gap must be > 0")
     kept: list[CanonicalEvent] = []
     last_kept: dict[tuple[str, int, int], int] = {}
     for ev in events:
         key = (ev.node, ev.dim.rank, ev.template)
         idx = last_kept.get(key)
-        if idx is not None and ev.ts - kept[idx].ts <= policy.gap:
+        if idx is not None and ev.ts - kept[idx].ts <= gap:
             rep = kept[idx]
             kept[idx] = _canonical_event(
                 rep.ts, rep.node, rep.dim, rep.template, rep.count + ev.count
@@ -80,25 +55,29 @@ def coalesce(events: Sequence[CanonicalEvent], policy: CoalescePolicy) -> list[C
 
 
 def filter_noise(
-    events: Sequence[CanonicalEvent], policy: NoisePolicy
+    events: Sequence[CanonicalEvent], blacklist: Collection[int], max_rate: float | None
 ) -> tuple[list[CanonicalEvent], NoiseReport]:
-    """Drop blacklisted templates, then entire streams that run too hot.
+    """Drop templates in `blacklist`, then entire streams that run too hot.
 
     A stream is one (node, template) pair; its rate is the sum of repeat
     counts divided by the surviving trace duration in hours, so
     coalescing beforehand does not hide a chatty stream. The rate rule
-    is all-or-nothing: a stream over `max_rate` loses every event.
+    is all-or-nothing: a stream over `max_rate` events per hour, which
+    must be > 0, loses every event; None disables the rule.
     Removal repeats until stable, because dropping the streams that
     bracket the trace shrinks the duration and can push further streams
     over the ceiling; the fixpoint makes the whole operation idempotent.
     With fewer than two distinct timestamps the duration is zero and the
     rate check is skipped (flagged in the report).
     """
+    if max_rate is not None and max_rate <= 0:
+        raise ValueError("max_rate must be > 0")
     report = NoiseReport()
-    kept = [ev for ev in events if ev.template not in policy.blacklist]
+    blocked = frozenset(blacklist)
+    kept = [ev for ev in events if ev.template not in blocked]
     report.blacklist_dropped = len(events) - len(kept)
 
-    if policy.max_rate is None:
+    if max_rate is None:
         return kept, report
 
     if not kept or kept[-1].ts <= kept[0].ts:
@@ -112,7 +91,7 @@ def filter_noise(
         for ev in kept:
             key = (ev.node, ev.template)
             totals[key] = totals.get(key, 0) + ev.count
-        over = {key for key, total in totals.items() if total / duration_h > policy.max_rate}
+        over = {key for key, total in totals.items() if total / duration_h > max_rate}
         if not over:
             break
         noisy |= over

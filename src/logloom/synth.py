@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .ingest import Dimension
+from .ingest import Dimension, json_fault, read_text
 
 
 class ScenarioError(Exception):
@@ -88,12 +88,17 @@ def _chain_event(raw: Any, path: str, problems: list[str]) -> ChainEvent:
     if not isinstance(raw, Mapping):
         problems.append(f"{path} must be an object")
         return ChainEvent(Dimension.EVENT, "", "")
+    return ChainEvent(
+        _dim_field(raw, path, problems), str(raw.get("msg", "")), str(raw.get("node", ""))
+    )
+
+
+def _dim_field(raw: Mapping, path: str, problems: list[str]) -> Dimension:
     try:
-        dim = Dimension(raw.get("dim"))
+        return Dimension(raw.get("dim"))
     except ValueError:
         problems.append(f"{path}.dim is not a dimension")
-        dim = Dimension.EVENT
-    return ChainEvent(dim, str(raw.get("msg", "")), str(raw.get("node", "")))
+        return Dimension.EVENT
 
 
 def _float_field(raw: Mapping, key: str, default: float, path: str, problems: list[str]) -> float:
@@ -116,11 +121,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         if not isinstance(raw, Mapping):
             problems.append(f"background[{k}] must be an object")
             continue
-        try:
-            dim = Dimension(raw.get("dim"))
-        except ValueError:
-            problems.append(f"background[{k}].dim is not a dimension")
-            dim = Dimension.EVENT
+        dim = _dim_field(raw, f"background[{k}]", problems)
         rate = _float_field(raw, "rate", 0.0, f"background[{k}]", problems)
         background.append(BackgroundSource(dim, str(raw.get("msg", "")), rate))
     chains: list[CausalChain] = []
@@ -175,10 +176,11 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
+    text = read_text(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"scenario is not valid JSON: {exc.msg}"]) from None
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError([f"scenario is not valid JSON: {json_fault(exc)}"]) from None
     if not isinstance(data, Mapping):
         raise ScenarioError(["scenario must be a JSON object"])
     return scenario_from_dict(data)

@@ -299,6 +299,62 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(bad) in err and where in err
 
+    # A JSON document `json.loads` cannot decode although its syntax is
+    # fine: nesting past the recursion limit, an integer past the digit limit.
+    UNDECODABLE = {
+        "deep": "[" * 200_000,
+        "huge_int": '{"version": ' + "9" * 5000 + "}",
+    }
+    # A command per whole-document JSON reader, reading the file {bad}.
+    JSON_READERS = {
+        "kb": ["query", "--kb", "{bad}", "--target", "status:0"],
+        "config": ["ingest", "--config", "{bad}", "--input", "x", "--out", "{tmp}"],
+        "scenario": ["synth", "--scenario", "{bad}", "--out", "{tmp}"],
+    }
+
+    @pytest.mark.parametrize("doc", UNDECODABLE)
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    def test_undecodable_json_document_is_3(self, tmp_path, capsys, doc, reader):
+        bad = tmp_path / f"{reader}.json"
+        bad.write_text(self.UNDECODABLE[doc], encoding="utf-8")
+        argv = [a.format(bad=bad, tmp=tmp_path / "o") for a in self.JSON_READERS[reader]]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:500]
+        assert "not valid JSON" in err or "invalid JSON" in err
+
+    # A command per flag that names a file read whole, reading the file {bad}
+    # and good files from the run directory {run}.
+    WHOLE_FILE_READERS = {
+        "events": ["preprocess", "--events", "{bad}", "--out", "{tmp}"],
+        "instances": ["build-graphs", "--instances", "{bad}", "--rules", "{run}/rules.json",
+                      "--out", "{tmp}"],
+        "templates": ["mine-rules", "--events", "{run}/events.jsonl", "--templates", "{bad}",
+                      "--out", "{tmp}"],
+        "config": ["ingest", "--config", "{bad}", "--input", "x", "--out", "{tmp}"],
+        "blacklist": ["preprocess", "--events", "{run}/events.jsonl", "--blacklist-file", "{bad}",
+                      "--out", "{tmp}"],
+        "query-kb": ["query", "--kb", "{bad}", "--target", "status:0"],
+        "export-kb": ["export", "--kb", "{bad}"],
+        "merge-kb": ["merge", "--kb", "{bad}", "--incoming", "{run}/kb.json", "--out", "{tmp}"],
+        "incoming": ["merge", "--kb", "{run}/kb.json", "--incoming", "{bad}", "--expert",
+                     "--out", "{tmp}"],
+        "rules": ["build-graphs", "--instances", "{run}/instances.jsonl", "--rules", "{bad}",
+                  "--out", "{tmp}"],
+        "graphs": ["mine-patterns", "--graphs", "{bad}", "--rules", "{run}/rules.json",
+                   "--out", "{tmp}"],
+        "scenario": ["synth", "--scenario", "{bad}", "--out", "{tmp}"],
+    }
+
+    @pytest.mark.parametrize("flag", WHOLE_FILE_READERS)
+    def test_file_not_utf8_is_2_and_named(self, workdir, tmp_path, capsys, flag):
+        bad = tmp_path / f"{flag}.bad"
+        bad.write_bytes(b'{"msg": "caf\xe9"}\n')
+        argv = [a.format(bad=bad, run=workdir / "run", tmp=tmp_path / "o")
+                for a in self.WHOLE_FILE_READERS[flag]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 (byte 12)\n"
+
 
 def _text(doc) -> str:
     return doc if isinstance(doc, str) else json.dumps(doc)

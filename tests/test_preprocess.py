@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logloom import CoalescePolicy, Dimension, NoisePolicy, coalesce, filter_noise, load_blacklist
+from logloom import Dimension, coalesce, filter_noise, load_blacklist
 
 from conftest import ev
 
@@ -27,11 +29,11 @@ def _events_strategy():
 class TestCoalesce:
     def test_gap_measured_from_kept_representative(self):
         # 4 merges into 0; 8 is 8s from the kept event, past the gap
-        out = coalesce([ev(0, 0), ev(4, 0), ev(8, 0)], CoalescePolicy(gap=5))
+        out = coalesce([ev(0, 0), ev(4, 0), ev(8, 0)], 5)
         assert [(e.ts, e.count) for e in out] == [(0.0, 2), (8.0, 1)]
 
     def test_merge_does_not_chain(self):
-        out = coalesce([ev(0, 0), ev(2, 0), ev(10, 0)], CoalescePolicy(gap=5))
+        out = coalesce([ev(0, 0), ev(2, 0), ev(10, 0)], 5)
         assert [(e.ts, e.count) for e in out] == [(0.0, 2), (10.0, 1)]
 
     def test_streams_do_not_mix(self):
@@ -41,25 +43,26 @@ class TestCoalesce:
             ev(2, 1, node="a"),
             ev(3, 0, node="a", dim=Dimension.STATUS),
         ]
-        out = coalesce(events, CoalescePolicy(gap=10))
+        out = coalesce(events, 10)
         assert len(out) == 4
 
     def test_empty_input(self):
-        assert coalesce([], CoalescePolicy()) == []
+        assert coalesce([], 5.0) == []
 
     def test_gap_validation(self):
-        with pytest.raises(ValueError):
-            CoalescePolicy(gap=0)
+        for events in ([], [ev(0, 0)]):
+            for gap in (0, -1.5):
+                with pytest.raises(ValueError, match=re.escape("gap must be > 0")):
+                    coalesce(events, gap)
 
     @given(_events_strategy(), st.floats(min_value=0.1, max_value=50))
     def test_idempotent(self, events, gap):
-        policy = CoalescePolicy(gap=gap)
-        once = coalesce(events, policy)
-        assert coalesce(once, policy) == once
+        once = coalesce(events, gap)
+        assert coalesce(once, gap) == once
 
     @given(_events_strategy(), st.floats(min_value=0.1, max_value=50))
     def test_counts_preserved(self, events, gap):
-        out = coalesce(events, CoalescePolicy(gap=gap))
+        out = coalesce(events, gap)
         assert sum(e.count for e in out) == sum(e.count for e in events)
         assert [e.ts for e in out] == sorted(e.ts for e in out)
 
@@ -67,21 +70,19 @@ class TestCoalesce:
 class TestFilterNoise:
     def test_identity_without_rules(self):
         events = [ev(0, 0), ev(10, 1)]
-        kept, report = filter_noise(events, NoisePolicy())
+        kept, report = filter_noise(events, (), None)
         assert kept == events
         assert report.blacklist_dropped == 0 and report.rate_dropped == 0
 
     def test_blacklist_drops_template_everywhere(self):
         events = [ev(0, 0), ev(1, 1), ev(2, 0, node="b")]
-        kept, report = filter_noise(events, NoisePolicy(blacklist=frozenset({0})))
+        kept, report = filter_noise(events, {0}, None)
         assert [e.template for e in kept] == [1]
         assert report.blacklist_dropped == 2
 
     def test_heartbeat_stream_dropped_whole(self):
         heartbeat = [ev(t, 0) for t in range(0, 3600)]
-        kept, report = filter_noise(
-            heartbeat + [ev(3600, 1)], NoisePolicy(max_rate=100)
-        )
+        kept, report = filter_noise(heartbeat + [ev(3600, 1)], (), 100)
         assert [e.template for e in kept] == [1]
         assert report.rate_dropped == 3600
         assert report.noisy_streams == (("n1", 0),)
@@ -90,19 +91,19 @@ class TestFilterNoise:
         chatty = [ev(t, 0) for t in range(0, 3600)]
         quiet = [ev(t, 1) for t in range(0, 3601, 360)]
         events = sorted(chatty + quiet, key=lambda e: e.sort_key)
-        kept, _ = filter_noise(events, NoisePolicy(max_rate=100))
+        kept, _ = filter_noise(events, (), 100)
         assert {e.template for e in kept} == {1}
         assert len(kept) == len(quiet)
 
     def test_rate_counts_coalesced_repeats(self):
         # one event with a large repeat count is as loud as many raw events
         events = [ev(0, 0, count=7200), ev(3600, 1)]
-        kept, _ = filter_noise(events, NoisePolicy(max_rate=100))
+        kept, _ = filter_noise(events, (), 100)
         assert [e.template for e in kept] == [1]
 
     def test_zero_duration_skips_rate_check(self):
         events = [ev(5, 0), ev(5, 1)]
-        kept, report = filter_noise(events, NoisePolicy(max_rate=1))
+        kept, report = filter_noise(events, (), 1)
         assert kept == events
         assert report.rate_check_skipped
 
@@ -112,13 +113,15 @@ class TestFilterNoise:
         bracket = [ev(t * 7200 / 20, 0) for t in range(21)]
         inner = [ev(3600 + i * 30, 1) for i in range(11)]
         events = sorted(bracket + inner, key=lambda e: e.sort_key)
-        kept, report = filter_noise(events, NoisePolicy(max_rate=10))
+        kept, report = filter_noise(events, (), 10)
         assert kept == []
         assert set(report.noisy_streams) == {("n1", 0), ("n1", 1)}
 
     def test_max_rate_validation(self):
-        with pytest.raises(ValueError):
-            NoisePolicy(max_rate=0)
+        for events in ([], [ev(0, 0), ev(10, 1)]):
+            for max_rate in (0, -2.0):
+                with pytest.raises(ValueError, match=re.escape("max_rate must be > 0")):
+                    filter_noise(events, (), max_rate)
 
     @settings(max_examples=200)
     @given(
@@ -127,14 +130,13 @@ class TestFilterNoise:
         st.sets(st.integers(min_value=0, max_value=2)),
     )
     def test_idempotent(self, events, max_rate, blacklist):
-        policy = NoisePolicy(blacklist=frozenset(blacklist), max_rate=max_rate)
-        once, _ = filter_noise(events, policy)
-        twice, _ = filter_noise(once, policy)
+        once, _ = filter_noise(events, blacklist, max_rate)
+        twice, _ = filter_noise(once, blacklist, max_rate)
         assert twice == once
 
     @given(_events_strategy(), st.floats(min_value=1, max_value=200))
     def test_kept_streams_respect_ceiling(self, events, max_rate):
-        kept, report = filter_noise(events, NoisePolicy(max_rate=max_rate))
+        kept, report = filter_noise(events, (), max_rate)
         if not kept or report.rate_check_skipped:
             return
         duration_h = (kept[-1].ts - kept[0].ts) / 3600.0
