@@ -25,17 +25,14 @@ _EXPORTS = {
         "Digraph", "FailurePattern", "knowledge_confidence", "min_dfs_code",
         "mine_patterns", "pattern_to_dot",
     ),
-    "knowledge": (
-        "KnowledgeBase", "MergeReport", "QueryResult", "SchemaError", "export",
-        "import_expert", "load", "merge", "query_root_causes",
-    ),
+    "knowledge": ("KnowledgeBase", "MergeReport", "QueryResult", "merge", "query_root_causes"),
     "synth": (
         "BackgroundSource", "CausalChain", "ChainEvent", "ScenarioError",
         "ScenarioSpec", "generate", "load_scenario", "scenario_from_dict",
     ),
     "pipeline": (
-        "ConfigError", "PipelineConfig", "PipelineResult", "config_digest",
-        "load_blacklist", "load_config", "run_pipeline",
+        "ConfigError", "PipelineConfig", "PipelineResult", "SchemaError", "config_digest",
+        "export", "import_expert", "load", "load_blacklist", "load_config", "run_pipeline",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

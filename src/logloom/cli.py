@@ -16,23 +16,19 @@ from pathlib import Path
 
 from .graphs import label_text, window_graph_to_dot
 from .ingest import Dimension, ParseError, TemplateTable, read_text
-from .knowledge import (
-    NODE_SCOPES,
-    SchemaError,
-    export,
-    import_expert,
-    load,
-    merge,
-    query_root_causes,
-)
+from .knowledge import NODE_SCOPES, merge, query_root_causes
 from .patterns import consequent_index, pattern_to_dot
 from .pipeline import (
     ConfigError,
     PipelineConfig,
+    SchemaError,
+    export,
     graphs_stage,
+    import_expert,
     ingest_stage,
     kb_stage,
     knob_type,
+    load,
     load_blacklist,
     mine_rules_stage,
     patterns_stage,

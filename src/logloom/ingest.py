@@ -295,13 +295,13 @@ class TemplateTable:
                 continue
             tid_str, sep, payload = line.partition("\t")
             if not sep:
-                raise ParseError(f"template file line {line_no}: missing tab")
+                raise ParseError(f"{path}: line {line_no}: missing tab")
             if tid_str != str(len(table)):
-                raise ParseError(f"template file line {line_no}: {tid_str!r} is not id {len(table)}")
+                raise ParseError(f"{path}: line {line_no}: {tid_str!r} is not id {len(table)}")
             masked = _unescape(payload)
             earlier = table.get(masked)
             if earlier is not None:
-                raise ParseError(f"template file line {line_no}: repeats template {earlier}")
+                raise ParseError(f"{path}: line {line_no}: repeats template {earlier}")
             table.id_for(masked)
         return table
 
@@ -433,10 +433,7 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
         try:
             obj = decode_json_line(text)
         except (ValueError, RecursionError) as exc:
-            # besides a JSONDecodeError, an integer literal past the digit
-            # limit or nesting past the recursion limit
-            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-            rejects.append(RejectEntry(line_no, f"invalid JSON: {msg}", text))
+            rejects.append(RejectEntry(line_no, f"invalid JSON: {json_fault(exc)}", text))
             continue
         record, reason = _record_from_fields(obj, dim_default, nodes)
         if record is None:

@@ -168,6 +168,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "blacklist" in err and str(blacklist) in err and "line 3" in err
 
+    @pytest.mark.parametrize("text, where", [
+        ("1 # note\x1c\nabc\n", "line 2: 'abc'"),
+        ("1\x1c2\nabc\n", "line 1: '1\\x1c2'"),
+    ], ids=["comment", "id"])
+    def test_blacklist_lines_end_only_at_newlines(self, tmp_path, capsys, text, where):
+        """A \\x1c, which str.splitlines breaks at, stays inside its line."""
+        blacklist = tmp_path / "bl.txt"
+        blacklist.write_text(text, encoding="utf-8")
+        assert main([
+            "pipeline", "--input", os.devnull, "--blacklist-file", str(blacklist),
+            "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: blacklist: {blacklist}: {where} is not a template id\n"
+
+    @pytest.mark.parametrize("text, fault", [
+        ("0\tconfig changed\nno tab\n", "missing tab"),
+        ("0\tconfig changed\n5\tlink down\n", "'5' is not id 1"),
+        ("0\tconfig changed\n1\tconfig changed\n", "repeats template 0"),
+    ], ids=["missing_tab", "wrong_id", "repeated"])
+    def test_templates_file_fault_names_file_and_line(self, workdir, tmp_path, capsys, text, fault):
+        templates = tmp_path / "t.tsv"
+        templates.write_text(text, encoding="utf-8")
+        assert main([
+            "mine-rules", "--events", str(workdir / "run" / "events.jsonl"),
+            "--templates", str(templates), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {templates}: line 2: {fault}\n"
+
+    @pytest.mark.parametrize("name, row", [
+        ("events.jsonl", '{"count": 1, "dim": "event", "node": "a", "template": {}, "ts": 1.0}'),
+        ("instances.jsonl", '{"anchor": 1.0, "dim": "event", "node": "a", "rule_id": {}, '
+                            '"span": [1.0, 2.0]}'),
+    ], ids=["events", "instances"])
+    def test_line_with_integer_past_digit_limit_is_not_json(
+        self, workdir, tmp_path, capsys, name, row
+    ):
+        run = workdir / "run"
+        bad = tmp_path / name
+        bad.write_text(row.replace("{}", "9" * 5000) + "\n", encoding="utf-8")
+        argv = {
+            "events.jsonl": ["mine-rules", "--events", str(bad),
+                             "--templates", str(run / "templates.tsv")],
+            "instances.jsonl": ["build-graphs", "--instances", str(bad),
+                                "--rules", str(run / "rules.json")],
+        }[name]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 1: not JSON: Exceeds the limit (4300 digits)")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("fault", [
         "duplicate_label", "edge_to_missing_label", "antiparallel", "same_and_cross",
         "self_loop", "later_to_earlier", "unknown_kind",

@@ -16,9 +16,9 @@ from logloom import (
     TemplateTable,
     export,
     import_expert,
-    knowledge,
     load,
     merge,
+    pipeline,
     query_root_causes,
 )
 
@@ -213,7 +213,7 @@ class TestExportLoad:
         ])
         text = export(kb)
         calls = []
-        monkeypatch.setattr(knowledge, "label_text", lambda label: calls.append(label))
+        monkeypatch.setattr(pipeline, "label_text", lambda label: calls.append(label))
         assert export(load(text)) == text
         assert calls == []
 

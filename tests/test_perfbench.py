@@ -33,3 +33,7 @@ def test_traced_job_finds_the_layer_calls(tmp_path):
     assert spans["preprocess.coalesce"] == spans["preprocess.filter"] == 1
     assert spans["graphs.build"] >= 1
     assert metrics["graphs.edges"] > 0
+    # `traced_layers` skips a name `logloom.pipeline` lacks, so a writer
+    # or reader that moved away would drop out of these spans silently.
+    assert spans["pipeline.write"] == 4 and spans["knowledge.export"] == 2
+    assert spans["pipeline.read"] == 4 and spans["knowledge.load"] == 1
