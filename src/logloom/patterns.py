@@ -57,8 +57,6 @@ def _adjacency(g: Digraph) -> list[list[tuple[int, int, Hashable]]]:
     for u, v, el in g.edges:
         adj[u].append((v, 0, el))
         adj[v].append((u, 1, el))
-    for lst in adj:
-        lst.sort(key=lambda t: (t[0], t[1]))
     return adj
 
 
@@ -87,65 +85,55 @@ def _step_key(entry: CodeEntry):
     return (1, -i, (li, d, el, lj))
 
 
-@dataclass(frozen=True)
-class _State:
-    """One partial DFS traversal: vertices in discovery order, the
-    rightmost path as host vertices, and the consumed arcs."""
-
-    order: tuple[int, ...]
-    rmpath: tuple[int, ...]
-    used: frozenset[tuple[int, int]]
-
-
-def _state_extensions(
+def _extensions(
     g: Digraph,
     adj: list[list[tuple[int, int, Hashable]]],
-    st: _State,
-) -> list[tuple[CodeEntry, _State]]:
-    pos = {v: k for k, v in enumerate(st.order)}
-    r = st.rmpath[-1]
-    n_vis = len(st.order)
-    rmset = set(st.rmpath)
-
-    backward: list[tuple[int, int, int, Hashable]] = []
+    order: tuple[int, ...],
+    rmpath: list[int],
+    used: set[tuple[int, int]],
+) -> list[tuple[CodeEntry, tuple[int, ...]]]:
+    """The entries the traversal with discovery order `order` can emit
+    next, each with the order it leaves; `rmpath` and `used` are the
+    rightmost path and the consumed arcs, in discovery indices."""
+    pos = {v: k for k, v in enumerate(order)}
+    last = len(order) - 1
+    r = order[last]
+    backward: list[tuple[int, int, Hashable, int]] = []
     for w, d, el in adj[r]:
-        if w not in pos or _pair(r, w) in st.used:
+        j = pos.get(w)
+        if j is None or (j, last) in used:
             continue
-        if w not in rmset:
+        if j not in rmpath:
             # this traversal can never consume the arc: abandon it
             return []
-        backward.append((pos[w], w, d, el))
+        backward.append((j, d, el, w))
     if backward:
         # a valid code emits pending backward arcs in ancestor order
-        j, w, d, el = min(backward)
-        entry = (n_vis - 1, j, g.labels[r], d, el, g.labels[w])
-        return [(entry, _State(st.order, st.rmpath, st.used | {_pair(r, w)}))]
-
-    out: list[tuple[CodeEntry, _State]] = []
-    for depth, x in enumerate(st.rmpath):
-        for w, d, el in adj[x]:
-            if w in pos:
-                continue
-            entry = (pos[x], n_vis, g.labels[x], d, el, g.labels[w])
-            newst = _State(
-                st.order + (w,),
-                st.rmpath[: depth + 1] + (w,),
-                st.used | {_pair(x, w)},
-            )
-            out.append((entry, newst))
-    return out
+        j, d, el, w = min(backward)
+        return [((last, j, g.labels[r], d, el, g.labels[w]), order)]
+    return [
+        ((i, last + 1, g.labels[order[i]], d, el, g.labels[w]), order + (w,))
+        for i in rmpath
+        for w, d, el in adj[order[i]]
+        if w not in pos
+    ]
 
 
 def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
     """Minimum DFS code plus the discovery order achieving it.
 
     Runs every DFS traversal in lockstep, keeping after each step only
-    the traversals that emitted the smallest next entry. Traversals that
-    strand an arc off the rightmost path are dropped early; they can
-    never finish, and any entry they offer is offered by a surviving
-    traversal as well. In a connected graph of two or more vertices
-    every vertex has an arc, so the first entry is a forward arc from a
-    least-labelled vertex, and only those vertices start a traversal.
+    the traversals that emitted the smallest next entry. A traversal is
+    held as its discovery order: the survivors all emitted the same code,
+    so in discovery indices they share one rightmost path and one set of
+    consumed arcs. Traversals that strand an arc off the rightmost path
+    are dropped early; they can never finish, and any entry they offer is
+    offered by a surviving traversal as well. In a connected graph of two
+    or more vertices every vertex has an arc, so the first entry is a
+    forward arc from a least-labelled vertex, and only those vertices
+    start a traversal. Every choice is a minimum, so the order of a
+    vertex's neighbours never changes the result; of the surviving
+    orders, the least is returned.
     """
     n = g.n
     if n == 0:
@@ -165,30 +153,23 @@ def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
         return ((0, 0, label, 0, None, label),), (0,)
 
     least = min(g.labels)
-    states = [
-        _State((v,), (v,), frozenset()) for v in range(n) if g.labels[v] == least
-    ]
+    orders = {(v,) for v in range(n) if g.labels[v] == least}
+    rmpath = [0]
+    used: set[tuple[int, int]] = set()
     code: list[CodeEntry] = []
     for _ in range(len(g.edges)):
-        branches: list[tuple[CodeEntry, _State]] = []
-        best: CodeEntry | None = None
-        for st in states:
-            for entry, newst in _state_extensions(g, adj, st):
-                if best is None or _step_key(entry) < _step_key(best):
-                    best = entry
-                branches.append((entry, newst))
-        if best is None:
+        branches = [b for order in orders for b in _extensions(g, adj, order, rmpath, used)]
+        if not branches:
             raise AssertionError("dfs canonicalization deadlocked")
+        best = min((entry for entry, _ in branches), key=_step_key)
         code.append(best)
-        seen: set[tuple] = set()
-        states = []
-        for entry, newst in branches:
-            key = (newst.order, newst.used)
-            if entry == best and key not in seen:
-                seen.add(key)
-                states.append(newst)
-        states.sort(key=lambda s: s.order)
-    return tuple(code), states[0].order
+        orders = {order for entry, order in branches if entry == best}
+        i, j = best[0], best[1]
+        used.add(_pair(i, j))
+        if i < j:
+            del rmpath[rmpath.index(i) + 1 :]
+            rmpath.append(j)
+    return tuple(code), min(orders)
 
 
 def min_dfs_code(g: Digraph) -> DfsCode:
@@ -206,8 +187,9 @@ def _code_to_graph(code: DfsCode, labels: Sequence[Hashable]) -> Digraph:
 
 
 def _is_min_code(code: DfsCode, labels: Sequence[Hashable]) -> bool:
-    """Whether `code`, which has at least one arc and vertex labels
-    `labels`, is the minimum DFS code of the graph it spells.
+    """Whether `code`, with vertex labels `labels`, is the minimum DFS
+    code of the connected graph it spells. The empty code of a single
+    vertex is.
 
     A code with repeated labels goes through `min_dfs_code`. With distinct
     labels, every step of the lockstep search has one winner, so the
@@ -373,15 +355,19 @@ def mine_patterns(
     graphs: Sequence,
     label_weights: Mapping[Hashable, float],
     ws_min: float,
-    p_max: int = 6,
+    p_max: int,
 ) -> list[FailurePattern]:
-    """Enumerate connected patterns with weighted support >= ws_min.
+    """Enumerate connected patterns of at most `p_max` nodes with weighted
+    support >= ws_min.
 
     Rightmost-extension search over minimum DFS codes; every pattern is
-    visited through its canonical code exactly once. Branches are cut on
-    raw support, which is sound because node weights never exceed one,
-    so weighted support never exceeds support. Patterns that fail only
-    the weighted threshold are still grown. Output is sorted by code.
+    visited through its canonical code exactly once. The search starts
+    from each label's single vertices, held as the empty code, so the
+    one-arc codes are their forward children and `p_max` bounds every
+    pattern. Branches are cut on raw support, which is sound because node
+    weights never exceed one, so weighted support never exceeds support.
+    Patterns that fail only the weighted threshold are still grown.
+    Output is sorted by code.
 
     Before the search, each host drops the arcs whose label triple is
     below `ws_min` support (see `_frequent_hosts`); no frequent pattern
@@ -405,7 +391,21 @@ def mine_patterns(
     arcs = [_arc_map(h) for h in hosts]
     found: list[FailurePattern] = []
 
-    def emit(code: DfsCode, labels: list[Hashable], support: float) -> None:
+    starts: dict[Hashable, list[_Embedding]] = {}
+    for gid, h in enumerate(hosts):
+        for v, label in enumerate(h.labels):
+            starts.setdefault(label, []).append(_Embedding(gid, (v,), frozenset()))
+    rank = {label: k for k, label in enumerate(sorted(starts))}
+    # A code is only minimal if its first label is its least, so no forward
+    # extension that puts a lesser label after the first is built.
+    ranks = [[rank[label] for label in h.labels] for h in hosts]
+
+    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[_Embedding]) -> None:
+        support = len({e.gid for e in embeddings}) / total
+        if support < ws_min:
+            return
+        if not _is_min_code(code, labels):
+            return
         node_weights = tuple(label_weights[label] for label in labels)
         # `statistics.fmean`, without importing `statistics` (and with it
         # `decimal` and `fractions`); the parentheses keep its rounding.
@@ -417,46 +417,9 @@ def mine_patterns(
                     node_weights=node_weights,
                     support=support,
                     weighted_support=ws,
-                    code=code,
+                    code=code or ((0, 0, labels[0], 0, None, labels[0]),),
                 )
             )
-
-    # single-node patterns are not reachable by edge extension: do them first
-    label_gids: dict[Hashable, set[int]] = {}
-    for gid, h in enumerate(hosts):
-        for label in h.labels:
-            label_gids.setdefault(label, set()).add(gid)
-    rank: dict[Hashable, int] = {}
-    for label in sorted(label_gids):
-        rank[label] = len(rank)
-        support = len(label_gids[label]) / total
-        if support >= ws_min:
-            emit(((0, 0, label, 0, None, label),), [label], support)
-    # A code is only minimal if its first label is its least, so no root or
-    # forward extension that puts a lesser label after the first is built.
-    ranks = [[rank[label] for label in h.labels] for h in hosts]
-
-    roots: dict[CodeEntry, list[_Embedding]] = {}
-    for gid, h in enumerate(hosts):
-        for u, v, el in h.edges:
-            used = frozenset({_pair(u, v)})
-            lu, lv = h.labels[u], h.labels[v]
-            if ranks[gid][u] <= ranks[gid][v]:
-                roots.setdefault((0, 1, lu, 0, el, lv), []).append(
-                    _Embedding(gid, (u, v), used)
-                )
-            if ranks[gid][v] <= ranks[gid][u]:
-                roots.setdefault((0, 1, lv, 1, el, lu), []).append(
-                    _Embedding(gid, (v, u), used)
-                )
-
-    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[_Embedding]) -> None:
-        support = len({e.gid for e in embeddings}) / total
-        if support < ws_min:
-            return
-        if not _is_min_code(code, labels):
-            return
-        emit(code, labels, support)
 
         maxtoc = len(labels) - 1
         rmpath = _rmpath_indices(code)
@@ -505,8 +468,8 @@ def mine_patterns(
             grown = labels if entry[0] > entry[1] else labels + [entry[5]]
             grow(code + (entry,), grown, children[entry])
 
-    for entry in sorted(roots, key=_step_key):
-        grow((entry,), [entry[2], entry[5]], roots[entry])
+    for label, embeddings in starts.items():
+        grow((), [label], embeddings)
 
     found.sort(key=lambda p: p.code)
     return found
@@ -577,17 +540,10 @@ def structural_confidences(
 
 
 COMBINERS: dict[str, Callable[[Sequence[float]], float]] = {
-    "geomean": lambda cs: _product(cs) ** (1.0 / len(cs)),
+    "geomean": lambda cs: math.prod(cs) ** (1.0 / len(cs)),
     "min": min,
-    "product": lambda cs: _product(cs),
+    "product": math.prod,
 }
-
-
-def _product(values: Sequence[float]) -> float:
-    out = 1.0
-    for v in values:
-        out *= v
-    return out
 
 
 def knowledge_confidence(

@@ -242,11 +242,14 @@ def load_blacklist(path: str | Path) -> frozenset[int]:
         if not text:
             continue
         try:
-            ids.add(int(text))
+            tid = int(text)
         except ValueError:
+            tid = -1
+        if tid < 0:
             raise ConfigError(
                 "blacklist", f"{path}: line {line_no}: {text!r} is not a template id"
-            ) from None
+            )
+        ids.add(tid)
     return frozenset(ids)
 
 
@@ -814,23 +817,28 @@ def write_graphs(graphs: Sequence[WindowGraph], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('{\n  "graphs": ')
         _write_array(fh.write, map(window, graphs))
-        fh.write(',\n  "version": 1\n}\n')
+        fh.write(f',\n  "version": {DOC_VERSION}\n}}\n')
 
 
 def read_graphs(
     path: str | Path, rules: Iterable[SequenceRule] | None = None
 ) -> list[WindowGraph]:
-    """Window graphs; a window that does not make a WindowGraph, makes one
-    that fails `WindowGraph.check()`, or has a node label that is not
+    """Window graphs; a `version` other than the integer 1 is a SchemaError
+    at `$.version`, and a window that does not make a WindowGraph, makes
+    one that fails `WindowGraph.check()`, or has a node label that is not
     among `rules`, when given, is a SchemaError at `$.graphs[i]`."""
     labels = None if rules is None else {r.label for r in rules}
     text = read_text(path)
     try:
-        windows = json.loads(text)["graphs"]
+        doc = json.loads(text)
+        windows = doc["graphs"]
     except (KeyError, TypeError, ValueError, RecursionError):
         windows = None
     if not isinstance(windows, list):
         raise SchemaError("$.graphs", f"{path} is not a JSON object with a graphs array")
+    version = doc.get("version")
+    if not (_is_int(version) and version == DOC_VERSION):
+        raise SchemaError("$.version", f"{path}: must be {DOC_VERSION}")
     edge_of: dict[tuple, tuple[Label, Label, Any]] = {}
 
     def edge(d1: Any, r1: Any, d2: Any, r2: Any, kind: Any) -> tuple[Label, Label, Any]:

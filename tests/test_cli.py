@@ -171,9 +171,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, where", [
         ("1 # note\x1c\nabc\n", "line 2: 'abc'"),
         ("1\x1c2\nabc\n", "line 1: '1\\x1c2'"),
-    ], ids=["comment", "id"])
+        ("-3\n", "line 1: '-3'"),
+    ], ids=["comment", "id", "negative"])
     def test_blacklist_lines_end_only_at_newlines(self, tmp_path, capsys, text, where):
-        """A \\x1c, which str.splitlines breaks at, stays inside its line."""
+        """A \\x1c, which str.splitlines breaks at, stays inside its line;
+        a negative id is located like any other line that is not an id."""
         blacklist = tmp_path / "bl.txt"
         blacklist.write_text(text, encoding="utf-8")
         assert main([
@@ -287,7 +289,7 @@ class TestExitCodes:
                      id="instances-float_rule_id"),
         pytest.param("instances.jsonl", lambda row: {**row, "rule_id": 777}, None,
                      id="instances-unknown_rule"),
-        pytest.param("graphs.json", lambda doc: {"graphs": [_without(doc["graphs"][0], "nodes")]},
+        pytest.param("graphs.json", lambda doc: {**doc, "graphs": [_without(doc["graphs"][0], "nodes")]},
                      "$.graphs[0]", id="graphs-window_without_nodes"),
         pytest.param("graphs.json", lambda doc: "{not json", "$.graphs", id="graphs-not_json"),
         pytest.param("graphs.json", lambda doc: doc["graphs"], "$.graphs", id="graphs-array"),
@@ -314,10 +316,16 @@ class TestExitCodes:
         pytest.param("graphs.json", lambda doc: _edge_seen_before(doc, 3, bool), "$.graphs[1]",
                      id="graphs-bool_edge_rule_id_seen_as_int"),
         pytest.param("graphs.json",
-                     lambda doc: {"graphs": [{**doc["graphs"][0], "window_index": "0"}]},
+                     lambda doc: {**doc, "graphs": [{**doc["graphs"][0], "window_index": "0"}]},
                      "$.graphs[0]", id="graphs-string_window_index"),
         pytest.param("graphs.json", lambda doc: _unknown_rule_node(doc), "$.graphs[0]",
                      id="graphs-unknown_rule"),
+        pytest.param("graphs.json", lambda doc: {**doc, "version": 99}, "$.version",
+                     id="graphs-version_99"),
+        pytest.param("graphs.json", lambda doc: {**doc, "version": True}, "$.version",
+                     id="graphs-version_true"),
+        pytest.param("graphs.json", lambda doc: {**doc, "version": 1.0}, "$.version",
+                     id="graphs-version_float"),
     ])
     def test_malformed_interchange_record_is_3_and_located(
         self, workdir, tmp_path, capsys, name, edit, where
@@ -417,7 +425,7 @@ def _first_node(doc: dict, **fields) -> dict:
     """graphs.json cut to its first window, whose first node gets `fields`."""
     window = doc["graphs"][0]
     nodes = [{**window["nodes"][0], **fields}, *window["nodes"][1:]]
-    return {"graphs": [{**window, "nodes": nodes}]}
+    return {**doc, "graphs": [{**window, "nodes": nodes}]}
 
 
 def _unknown_rule_node(doc: dict) -> dict:
@@ -426,7 +434,7 @@ def _unknown_rule_node(doc: dict) -> dict:
     window = doc["graphs"][0]
     first = window["nodes"][0]
     extra = {**first, "rule_id": 999, "anchor": first["anchor"] + 0.5}
-    return {"graphs": [{**window, "nodes": [*window["nodes"], extra]}]}
+    return {**doc, "graphs": [{**window, "nodes": [*window["nodes"], extra]}]}
 
 
 def _first_edge(doc: dict, position: int, cast) -> dict:
@@ -436,7 +444,7 @@ def _first_edge(doc: dict, position: int, cast) -> dict:
     edge = list(window["edges"][0])
     assert edge[position] in (0, 1)
     edge[position] = cast(edge[position])
-    return {"graphs": [{**window, "edges": [edge, *window["edges"][1:]]}]}
+    return {**doc, "graphs": [{**window, "edges": [edge, *window["edges"][1:]]}]}
 
 
 def _edge_seen_before(doc: dict, position: int, cast) -> dict:
@@ -445,7 +453,8 @@ def _edge_seen_before(doc: dict, position: int, cast) -> dict:
     the same row with an int rule id."""
     (window,) = _first_edge(doc, position, lambda rule_id: rule_id)["graphs"]
     (cast_window,) = _first_edge(doc, position, cast)["graphs"]
-    return {"graphs": [window, {**cast_window, "window_index": window["window_index"] + 1}]}
+    cast_window = {**cast_window, "window_index": window["window_index"] + 1}
+    return {**doc, "graphs": [window, cast_window]}
 
 
 class TestSynth:

@@ -257,13 +257,14 @@ class TestMinePatterns:
         for _ in range(30):
             hosts = [_random_host(rng) for _ in range(rng.randint(1, 8))]
             ws_min = rng.choice([0.1, 0.3])
-            mined = mine_patterns(hosts, WEIGHTS, ws_min=ws_min, p_max=4)
-            got = {p.code: (p.support, p.weighted_support) for p in mined}
-            want = brute_pattern_universe(hosts, WEIGHTS, ws_min, p_max=4)
-            assert got.keys() == want.keys()
-            for code, (sup, ws) in want.items():
-                assert got[code][0] == pytest.approx(sup)
-                assert got[code][1] == pytest.approx(ws)
+            for p_max in (4, 1):
+                mined = mine_patterns(hosts, WEIGHTS, ws_min=ws_min, p_max=p_max)
+                got = {p.code: (p.support, p.weighted_support) for p in mined}
+                want = brute_pattern_universe(hosts, WEIGHTS, ws_min, p_max=p_max)
+                assert got.keys() == want.keys()
+                for code, (sup, ws) in want.items():
+                    assert got[code][0] == pytest.approx(sup)
+                    assert got[code][1] == pytest.approx(ws)
 
     def test_codes_canonical_unique_sorted(self, rng):
         hosts = [_random_host(rng) for _ in range(6)]
@@ -337,7 +338,7 @@ class TestMinePatterns:
 
         monkeypatch.setattr(patterns_module, "_Embedding", counting_embedding)
         monkeypatch.setattr(patterns_module, "_min_code_with_order", counting_search)
-        mined = mine_patterns(windows, {label: 1.0 for label in LABEL_POOL}, ws_min=0.5)
+        mined = mine_patterns(windows, {label: 1.0 for label in LABEL_POOL}, ws_min=0.5, p_max=6)
         assert max(p.graph.n for p in mined) == 3
         assert built and not searched
         for gid, used in built:
@@ -346,15 +347,17 @@ class TestMinePatterns:
                 (arc,) = [e for e in windows[gid].edges if {e[0], e[1]} == {labels[a], labels[b]}]
                 assert support[arc] / len(windows) >= 0.5
         # a code with repeated labels still takes the full search
-        mine_patterns([g([A, A, B], [(0, 1, "same"), (1, 2, "same")])], WEIGHTS, ws_min=0.1)
+        mine_patterns(
+            [g([A, A, B], [(0, 1, "same"), (1, 2, "same")])], WEIGHTS, ws_min=0.1, p_max=6
+        )
         assert searched
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mine_patterns([], WEIGHTS, ws_min=0.1)
+            mine_patterns([], WEIGHTS, ws_min=0.1, p_max=6)
         host = [g([A], [])]
         with pytest.raises(ValueError):
-            mine_patterns(host, WEIGHTS, ws_min=0.0)
+            mine_patterns(host, WEIGHTS, ws_min=0.0, p_max=6)
         with pytest.raises(ValueError):
             mine_patterns(host, WEIGHTS, ws_min=0.1, p_max=0)
 
