@@ -193,7 +193,7 @@ def count_window_support(
     labels: Sequence[int],
     events: Sequence[CanonicalEvent],
     window: float,
-    granularity: float = 1.0,
+    granularity: float,
 ) -> float:
     """Fraction of sliding windows containing `labels` as an ordered occurrence.
 
@@ -207,8 +207,8 @@ def mine_episodes(
     events: Sequence[CanonicalEvent],
     window: float,
     min_sup: float,
-    k_max: int = 4,
-    granularity: float = 1.0,
+    k_max: int,
+    granularity: float,
 ) -> list[Episode]:
     """Level-wise mining of frequent serial episodes up to length `k_max`.
 

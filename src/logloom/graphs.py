@@ -8,7 +8,6 @@ from typing import Iterable, Sequence
 
 from .episodes import RuleInstance, SequenceRule
 from .ingest import Dimension
-from .patterns import Digraph
 
 Label = tuple[Dimension, int]
 
@@ -64,13 +63,6 @@ class WindowGraph:
                 pairs.add((u, v))
                 continue
             raise ValueError(f"edge {label_text(u)} -> {label_text(v)} {fault}")
-
-    def digraph(self) -> Digraph:
-        index = {gn.label: i for i, gn in enumerate(self.nodes)}
-        return Digraph(
-            labels=tuple(gn.label for gn in self.nodes),
-            edges=frozenset((index[u], index[v], el) for u, v, el in self.edges),
-        )
 
 
 def label_text(label: Label) -> str:

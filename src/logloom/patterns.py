@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 CodeEntry = tuple
 DfsCode = tuple
@@ -306,12 +306,6 @@ class FailurePattern:
         )
 
 
-class _Embedding(NamedTuple):
-    gid: int
-    vmap: tuple[int, ...]
-    used: frozenset[tuple[int, int]]
-
-
 def _frequent_hosts(graphs: Sequence, ws_min: float) -> list[Digraph]:
     """Each host as a Digraph holding only the arcs that can be frequent.
 
@@ -369,6 +363,11 @@ def mine_patterns(
     Patterns that fail only the weighted threshold are still grown.
     Output is sorted by code.
 
+    An embedding is a pair (gid, vmap): the host's index and the host
+    vertex of each discovery index. vmap is one to one, so the host arcs
+    an embedding has used are the images of its code's (i, j) pairs and
+    are read off the code, not carried.
+
     Before the search, each host drops the arcs whose label triple is
     below `ws_min` support (see `_frequent_hosts`); no frequent pattern
     uses one. A grown code with distinct labels is tested for minimality
@@ -391,17 +390,17 @@ def mine_patterns(
     arcs = [_arc_map(h) for h in hosts]
     found: list[FailurePattern] = []
 
-    starts: dict[Hashable, list[_Embedding]] = {}
+    starts: dict[Hashable, list[tuple[int, tuple[int, ...]]]] = {}
     for gid, h in enumerate(hosts):
         for v, label in enumerate(h.labels):
-            starts.setdefault(label, []).append(_Embedding(gid, (v,), frozenset()))
+            starts.setdefault(label, []).append((gid, (v,)))
     rank = {label: k for k, label in enumerate(sorted(starts))}
     # A code is only minimal if its first label is its least, so no forward
     # extension that puts a lesser label after the first is built.
     ranks = [[rank[label] for label in h.labels] for h in hosts]
 
-    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[_Embedding]) -> None:
-        support = len({e.gid for e in embeddings}) / total
+    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[tuple]) -> None:
+        support = len({gid for gid, _ in embeddings}) / total
         if support < ws_min:
             return
         if not _is_min_code(code, labels):
@@ -431,23 +430,25 @@ def mine_patterns(
         # taken first, so no child with such an arc is minimal.
         tree = {(i, j): (d, el, rank[lj]) for i, j, _, d, el, lj in code if i < j}
         floors = {x: tree[(x, y)] for x, y in zip(rmpath, rmpath[1:])}
+        # Used arcs are code entries, so a backward arc is new to every
+        # embedding or to none; a forward arc reaches an unmapped vertex.
+        used = {_pair(i, j) for i, j, *_ in code}
+        backward = [a for a in rmpath[:-1] if (a, maxtoc) not in used]
         forward = len(labels) < p_max
-        children: dict[CodeEntry, list[_Embedding]] = {}
-        for gid, vmap, used in embeddings:
+        children: dict[CodeEntry, list[tuple[int, tuple[int, ...]]]] = {}
+        for embedding in embeddings:
+            gid, vmap = embedding
             host_arcs = arcs[gid]
             r_host = vmap[maxtoc]
-            for a_idx in rmpath[:-1]:
+            for a_idx in backward:
                 arc = host_arcs.get((r_host, vmap[a_idx]))
                 if arc is None:
                     continue
                 d, el = arc
-                pair = _pair(r_host, vmap[a_idx])
-                if pair in used or (1 - d, el, r_rank) < floors[a_idx]:
+                if (1 - d, el, r_rank) < floors[a_idx]:
                     continue
                 entry = (maxtoc, a_idx, labels[maxtoc], d, el, labels[a_idx])
-                children.setdefault(entry, []).append(
-                    _Embedding(gid, vmap, used | {pair})
-                )
+                children.setdefault(entry, []).append(embedding)
             if not forward:
                 continue
             mapped = set(vmap)
@@ -461,9 +462,7 @@ def mine_patterns(
                     if floor is not None and (d, el, host_ranks[w]) < floor:
                         continue
                     entry = (x_idx, maxtoc + 1, labels[x_idx], d, el, host_labels[w])
-                    children.setdefault(entry, []).append(
-                        _Embedding(gid, vmap + (w,), used | {_pair(x_host, w)})
-                    )
+                    children.setdefault(entry, []).append((gid, vmap + (w,)))
         for entry in sorted(children, key=_step_key):
             grown = labels if entry[0] > entry[1] else labels + [entry[5]]
             grow(code + (entry,), grown, children[entry])
@@ -549,7 +548,7 @@ COMBINERS: dict[str, Callable[[Sequence[float]], float]] = {
 def knowledge_confidence(
     pattern: FailurePattern,
     rules,
-    combiner: str = "geomean",
+    combiner: str,
     structural: float | None = None,
 ) -> float:
     """Blend structural confidence with the constituent rules' confidences.

@@ -234,7 +234,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def load_blacklist(path: str | Path) -> frozenset[int]:
-    """Read template ids from a text file, one per line, '#' comments allowed."""
+    """Read template ids from a text file, one per line, '#' comments allowed.
+
+    An id is a run of ASCII digits; any other line is refused."""
     ids: set[int] = set()
     lines = read_text(path).split("\n")
     for line_no, line in enumerate(lines, 1):
@@ -242,10 +244,10 @@ def load_blacklist(path: str | Path) -> frozenset[int]:
         if not text:
             continue
         try:
-            tid = int(text)
-        except ValueError:
-            tid = -1
-        if tid < 0:
+            tid = int(text) if text.isascii() and text.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            tid = None
+        if tid is None:
             raise ConfigError(
                 "blacklist", f"{path}: line {line_no}: {text!r} is not a template id"
             )

@@ -428,8 +428,17 @@ def _matching_order(pattern: Digraph) -> list[int]:
     return order
 
 
+def window_digraph(g: WindowGraph) -> Digraph:
+    """A window graph as a Digraph whose vertices are its nodes, in order."""
+    index = {gn.label: i for i, gn in enumerate(g.nodes)}
+    return Digraph(
+        labels=tuple(gn.label for gn in g.nodes),
+        edges=frozenset((index[u], index[v], el) for u, v, el in g.edges),
+    )
+
+
 def _as_digraph(g) -> Digraph:
-    return g if isinstance(g, Digraph) else g.digraph()
+    return g if isinstance(g, Digraph) else window_digraph(g)
 
 
 def weighted_support(

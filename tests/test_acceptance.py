@@ -163,7 +163,7 @@ def episode_corpus():
         )
         window = rng.choice([2.0, 5.0, 10.0])
         min_sup = rng.choice([0.05, 0.1, 0.2])
-        mined = mine_episodes(events, window, min_sup, k_max=3)
+        mined = mine_episodes(events, window, min_sup, k_max=3, granularity=1.0)
         corpus.append((events, window, min_sup, mined))
     return corpus
 

@@ -172,10 +172,16 @@ class TestExitCodes:
         ("1 # note\x1c\nabc\n", "line 2: 'abc'"),
         ("1\x1c2\nabc\n", "line 1: '1\\x1c2'"),
         ("-3\n", "line 1: '-3'"),
-    ], ids=["comment", "id", "negative"])
+        ("1_0\n", "line 1: '1_0'"),
+        ("0\n+4\n", "line 2: '+4'"),
+        ("\u0663\n", "line 1: '\u0663'"),
+        ("9" * 5000 + "\n", "line 1: '" + "9" * 5000 + "'"),
+    ], ids=["comment", "id", "negative", "underscore", "plus", "arabic_indic",
+            "past_digit_limit"])
     def test_blacklist_lines_end_only_at_newlines(self, tmp_path, capsys, text, where):
         """A \\x1c, which str.splitlines breaks at, stays inside its line;
-        a negative id is located like any other line that is not an id."""
+        a negative id is located like any other line that is not an id, and
+        so is one that int() takes but is not ASCII digits alone."""
         blacklist = tmp_path / "bl.txt"
         blacklist.write_text(text, encoding="utf-8")
         assert main([

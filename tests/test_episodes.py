@@ -39,18 +39,18 @@ def _random_trace(rng, max_events=50, alphabet=4, span=40, tied=False):
 class TestWindowSupport:
     def test_single_event_tiny_window(self):
         events = trace([(1, 0)])
-        assert count_window_support([0], events, window=1) == 1.0
+        assert count_window_support([0], events, window=1, granularity=1.0) == 1.0
 
     def test_spec_pair(self):
         # A@1, B@2, W=2: windows [0,2),[1,3),[2,4) -> A in 2, B in 2, AB in 1
         events = trace([(1, 0), (2, 1)])
-        assert count_window_support([0], events, 2) == pytest.approx(2 / 3)
-        assert count_window_support([1], events, 2) == pytest.approx(2 / 3)
-        assert count_window_support([0, 1], events, 2) == pytest.approx(1 / 3)
+        assert count_window_support([0], events, 2, 1.0) == pytest.approx(2 / 3)
+        assert count_window_support([1], events, 2, 1.0) == pytest.approx(2 / 3)
+        assert count_window_support([0, 1], events, 2, 1.0) == pytest.approx(1 / 3)
 
     def test_order_matters(self):
         events = trace([(1, 0), (2, 1)])
-        assert count_window_support([1, 0], events, 2) == 0.0
+        assert count_window_support([1, 0], events, 2, 1.0) == 0.0
 
     def test_granularity_rescales_ticks(self):
         events = trace([(10, 0), (20, 1)])
@@ -65,11 +65,11 @@ class TestWindowSupport:
 
     def test_empty_stream_raises(self):
         with pytest.raises(EmptyDimensionError):
-            count_window_support([0], [], window=5)
+            count_window_support([0], [], window=5, granularity=1.0)
 
     def test_empty_sequence_raises(self):
         with pytest.raises(ValueError):
-            count_window_support([], trace([(1, 0)]), window=5)
+            count_window_support([], trace([(1, 0)]), window=5, granularity=1.0)
 
     def test_matches_oracle_on_random_traces(self):
         rng = random.Random(1)
@@ -78,7 +78,7 @@ class TestWindowSupport:
             window = rng.choice([2, 5, 10])
             k = rng.randint(1, 3)
             seq = [rng.randrange(4) for _ in range(k)]
-            assert count_window_support(seq, events, window) == brute_window_support(
+            assert count_window_support(seq, events, window, 1.0) == brute_window_support(
                 seq, events, window
             )
         for case in range(150):
@@ -92,9 +92,9 @@ class TestWindowSupport:
         # Events 10**7 ticks apart, W = 10: 10**7 + 10 windows; each single
         # event lies in 10 of them, the pair (0 then 5) in 5.
         events = trace([(0, 0), (5, 1), (10**7, 0)])
-        assert count_window_support([0], events, 10) == 20 / 10_000_010
-        assert count_window_support([0, 1], events, 10) == 5 / 10_000_010
-        assert count_window_support([1, 0], events, 10) == 0.0
+        assert count_window_support([0], events, 10, 1.0) == 20 / 10_000_010
+        assert count_window_support([0, 1], events, 10, 1.0) == 5 / 10_000_010
+        assert count_window_support([1, 0], events, 10, 1.0) == 0.0
 
 
 class TestMineEpisodes:
@@ -104,35 +104,36 @@ class TestMineEpisodes:
             events = _random_trace(rng, max_events=30)
             window = rng.choice([2, 5, 10])
             min_sup = rng.choice([0.05, 0.2, 0.5])
-            mined = {e.labels: e.support for e in mine_episodes(events, window, min_sup, k_max=3)}
+            episodes = mine_episodes(events, window, min_sup, k_max=3, granularity=1.0)
+            mined = {e.labels: e.support for e in episodes}
             assert mined == brute_episodes(events, window, min_sup, k_max=3)
 
     def test_prefix_closed(self):
         rng = random.Random(3)
         for _ in range(30):
             events = _random_trace(rng)
-            mined = {e.labels for e in mine_episodes(events, 5, 0.1, k_max=3)}
+            mined = {e.labels for e in mine_episodes(events, 5, 0.1, k_max=3, granularity=1.0)}
             assert all(labels[:-1] in mined for labels in mined if len(labels) > 1)
 
     def test_repeated_label_episodes_found(self):
         events = trace([(1, 0), (2, 0), (11, 0), (12, 0)])
-        mined = {e.labels for e in mine_episodes(events, 3, 0.1, k_max=2)}
+        mined = {e.labels for e in mine_episodes(events, 3, 0.1, k_max=2, granularity=1.0)}
         assert (0, 0) in mined
 
     def test_parameter_validation(self):
         events = trace([(1, 0)])
         with pytest.raises(ValueError):
-            mine_episodes(events, 5, 0.0)
+            mine_episodes(events, 5, 0.0, k_max=4, granularity=1.0)
         with pytest.raises(ValueError):
-            mine_episodes(events, 5, 1.5)
+            mine_episodes(events, 5, 1.5, k_max=4, granularity=1.0)
         with pytest.raises(ValueError):
-            mine_episodes(events, 5, 0.5, k_max=0)
+            mine_episodes(events, 5, 0.5, k_max=0, granularity=1.0)
 
     def test_one_pass_over_the_stream_per_level(self):
         events = _CountingList(trace([(t, t % 3) for t in range(60)]))
         for k_max in (1, 2, 4):
             events.passes = 0
-            mined = mine_episodes(events, 5, 0.1, k_max=k_max)
+            mined = mine_episodes(events, 5, 0.1, k_max=k_max, granularity=1.0)
             assert max(len(e.labels) for e in mined) == k_max
             assert events.passes <= k_max
 
@@ -145,25 +146,26 @@ class TestMineEpisodes:
     )
     def test_sub_episode_support_dominates(self, pairs, window):
         events = trace(pairs)
-        for episode in mine_episodes(events, window, 0.05, k_max=3):
+        for episode in mine_episodes(events, window, 0.05, k_max=3, granularity=1.0):
             whole = episode.support
             labels = episode.labels
             for drop in range(len(labels)):
                 sub = labels[:drop] + labels[drop + 1 :]
                 if sub:
-                    assert count_window_support(sub, events, window) >= whole - 1e-12
+                    assert count_window_support(sub, events, window, 1.0) >= whole - 1e-12
 
 
 class TestDeriveRules:
     def test_atomic_rules_have_full_confidence(self):
         events = trace([(1, 0), (2, 1)])
-        rules = derive_rules(mine_episodes(events, 2, 0.1, k_max=2), min_conf=0.0)
+        episodes = mine_episodes(events, 2, 0.1, k_max=2, granularity=1.0)
+        rules = derive_rules(episodes, min_conf=0.0)
         atomic = [r for r in rules if not r.antecedent]
         assert atomic and all(r.confidence == 1.0 for r in atomic)
 
     def test_composite_confidence_ratio(self):
         events = trace([(1, 0), (2, 1)])
-        episodes = mine_episodes(events, 2, 0.1, k_max=2)
+        episodes = mine_episodes(events, 2, 0.1, k_max=2, granularity=1.0)
         sup = {e.labels: e.support for e in episodes}
         rules = derive_rules(episodes, min_conf=0.0)
         pair = next(r for r in rules if r.full_labels == (0, 1))
@@ -171,7 +173,7 @@ class TestDeriveRules:
 
     def test_min_conf_drops_and_renumbers(self):
         events = trace([(1, 0), (2, 1), (10, 0)])
-        episodes = mine_episodes(events, 2, 0.05, k_max=2)
+        episodes = mine_episodes(events, 2, 0.05, k_max=2, granularity=1.0)
         rules = derive_rules(episodes, min_conf=0.9)
         assert [r.rule_id for r in rules] == list(range(len(rules)))
         assert all(r.confidence >= 0.9 for r in rules)

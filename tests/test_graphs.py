@@ -16,6 +16,8 @@ from logloom import (
 from logloom.graphs import WEIGHT_MODES
 from logloom.pipeline import read_graphs, write_graphs
 
+from _oracles import window_digraph
+
 
 def _rule(rule_id, dim=Dimension.EVENT, support=0.5, confidence=0.8):
     return SequenceRule(
@@ -116,7 +118,7 @@ class TestBuildWindowGraphs:
             _inst(0, 20, dim=Dimension.STATUS, node="b"),
         ]
         (g,) = build_window_graphs(instances, RULES, *knobs)
-        dg = g.digraph()
+        dg = window_digraph(g)
         assert dg.n == 3
         assert len(dg.edges) == 3
         seen_pairs = {frozenset((u, v)) for u, v, _ in dg.edges}

@@ -31,6 +31,7 @@ from _oracles import (
     pattern_confidence,
     subgraph_contains,
     weighted_support,
+    window_digraph,
 )
 from conftest import random_connected_digraph, relabel
 
@@ -301,7 +302,7 @@ class TestMinePatterns:
             infrequent += sum(1 for n in support.values() if n / len(windows) < ws_min)
             mined = mine_patterns(windows, POOL_WEIGHTS, ws_min=ws_min, p_max=4)
             got = {p.code: (p.support, p.weighted_support) for p in mined}
-            hosts = [w.digraph() for w in windows]
+            hosts = [window_digraph(w) for w in windows]
             want = brute_pattern_universe(hosts, POOL_WEIGHTS, ws_min, p_max=4)
             assert got.keys() == want.keys()
             for code, (sup, ws) in want.items():
@@ -312,8 +313,9 @@ class TestMinePatterns:
     def test_search_builds_nothing_for_infrequent_arcs_or_full_canonical_search(
         self, monkeypatch
     ):
-        """No embedding uses an arc whose label triple is below ws_min, and
-        distinct-label codes never reach the all-start canonical search."""
+        """The hosts the search walks hold no arc whose label triple is below
+        ws_min, so no embedding uses one, and distinct-label codes never
+        reach the all-start canonical search."""
         # A -cross-> B -cross-> C with A -same-> C is frequent at 0.5; every
         # arc touching D, and A -cross-> C, is in one window of four
         windows = [
@@ -325,27 +327,30 @@ class TestMinePatterns:
             _window(3, [A, C], [(A, C, "cross")]),
         ]
         support = _arc_support(windows)
-        built, searched = [], []
-        embedding, full_search = patterns_module._Embedding, patterns_module._min_code_with_order
+        walked, searched = [], []
+        frequent_hosts, full_search = (
+            patterns_module._frequent_hosts, patterns_module._min_code_with_order
+        )
 
-        def counting_embedding(gid, vmap, used):
-            built.append((gid, used))
-            return embedding(gid, vmap, used)
+        def recording_hosts(graphs, ws_min):
+            hosts = frequent_hosts(graphs, ws_min)
+            walked.extend(hosts)
+            return hosts
 
         def counting_search(graph):
             searched.append(graph)
             return full_search(graph)
 
-        monkeypatch.setattr(patterns_module, "_Embedding", counting_embedding)
+        monkeypatch.setattr(patterns_module, "_frequent_hosts", recording_hosts)
         monkeypatch.setattr(patterns_module, "_min_code_with_order", counting_search)
         mined = mine_patterns(windows, {label: 1.0 for label in LABEL_POOL}, ws_min=0.5, p_max=6)
         assert max(p.graph.n for p in mined) == 3
-        assert built and not searched
-        for gid, used in built:
-            labels = [gn.label for gn in windows[gid].nodes]
-            for a, b in used:
-                (arc,) = [e for e in windows[gid].edges if {e[0], e[1]} == {labels[a], labels[b]}]
-                assert support[arc] / len(windows) >= 0.5
+        assert len(walked) == len(windows) and not searched
+        # every embedding maps its arcs onto arcs of these hosts
+        kept = [(h.labels[u], h.labels[v], el) for h in walked for u, v, el in h.edges]
+        assert kept and len(kept) < sum(len(w.edges) for w in windows)
+        for arc in kept:
+            assert support[arc] / len(windows) >= 0.5
         # a code with repeated labels still takes the full search
         mine_patterns(
             [g([A, A, B], [(0, 1, "same"), (1, 2, "same")])], WEIGHTS, ws_min=0.1, p_max=6
@@ -564,17 +569,20 @@ class TestStructuralConfidences:
         assert calls == {"remove_node": 0, "build": 0}
 
     def test_scoring_does_not_rebuild_hosts(self, monkeypatch):
-        calls = {"digraph": 0}
-        digraph = WindowGraph.digraph
+        """The only Digraphs the stage builds are one host per window, for
+        the search, and one graph per pattern it finds."""
+        built = []
+        post_init = Digraph.__post_init__
 
-        def counting_digraph(self):
-            calls["digraph"] += 1
-            return digraph(self)
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
 
-        monkeypatch.setattr(WindowGraph, "digraph", counting_digraph)
+        monkeypatch.setattr(Digraph, "__post_init__", counting_post_init)
         rules = [_atomic_rule(label) for label in (A, B, C)]
-        assert any(p.graph.n > 1 for p in patterns_stage(SCORING_CFG, V_DB, rules))
-        assert calls["digraph"] <= len(V_DB)
+        scored = patterns_stage(SCORING_CFG, V_DB, rules)
+        assert any(p.graph.n > 1 for p in scored)
+        assert len(built) == len(V_DB) + len(scored)
 
 
 class TestDot:
