@@ -9,13 +9,12 @@ import importlib
 _EXPORTS = {
     "ingest": (
         "CanonicalEvent", "Dimension", "LogRecord", "ParseError", "ParseResult",
-        "RejectEntry", "TemplateTable", "canonicalize", "extract_template",
-        "mask_message", "parse_lines",
+        "RejectEntry", "TemplateTable", "canonicalize", "mask_message", "parse_lines",
     ),
     "preprocess": ("NoiseReport", "coalesce", "filter_noise"),
     "episodes": (
         "EmptyDimensionError", "Episode", "RuleInstance", "SequenceRule",
-        "count_window_support", "derive_rules", "find_instances", "mine_episodes",
+        "derive_rules", "find_instances", "mine_episodes",
     ),
     "graphs": (
         "GraphNode", "WindowGraph", "build_window_graphs", "label_weights",
@@ -32,7 +31,7 @@ _EXPORTS = {
     ),
     "pipeline": (
         "ConfigError", "PipelineConfig", "PipelineResult", "SchemaError", "config_digest",
-        "export", "import_expert", "load", "load_blacklist", "load_config", "run_pipeline",
+        "export", "import_expert", "load", "load_blacklist", "run_pipeline",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,6 +22,7 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     SchemaError,
+    ascii_id,
     export,
     graphs_stage,
     import_expert,
@@ -206,10 +207,9 @@ def _parse_target(text: str) -> tuple[Dimension, str, int]:
         raise _UsageError(
             "target must be dim:<rule_id>, dim:rule:<id> or dim:template:<id>"
         )
-    try:
-        ident = int(raw)
-    except ValueError:
-        raise _UsageError(f"target id must be an integer, got {raw!r}") from None
+    ident = ascii_id(raw)
+    if ident is None:
+        raise _UsageError(f"target id must be ASCII digits, got {raw!r}")
     return dim, kind, ident
 
 
@@ -278,6 +278,20 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+# The stage commands: name, help, required input files, handler. Each
+# also takes the analysis knobs and --out.
+_STAGES = (
+    ("ingest", "parse a log into canonical events", ("--input",), _cmd_ingest),
+    ("preprocess", "coalesce repeats and drop noise", ("--events",), _cmd_preprocess),
+    ("mine-rules", "mine per-dimension sequence rules", ("--events", "--templates"),
+     _cmd_mine_rules),
+    ("build-graphs", "correlate rule instances into window graphs",
+     ("--instances", "--rules"), _cmd_build_graphs),
+    ("mine-patterns", "mine failure patterns into a knowledge base", ("--graphs", "--rules"),
+     _cmd_mine_patterns),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="logloom", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -287,39 +301,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse a log into canonical events")
-    _add_knobs(p)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("preprocess", help="coalesce repeats and drop noise")
-    _add_knobs(p)
-    p.add_argument("--events", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_preprocess)
-
-    p = sub.add_parser("mine-rules", help="mine per-dimension sequence rules")
-    _add_knobs(p)
-    p.add_argument("--events", required=True)
-    p.add_argument("--templates", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_mine_rules)
-
-    p = sub.add_parser("build-graphs", help="correlate rule instances into window graphs")
-    _add_knobs(p)
-    p.add_argument("--instances", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--dot", action="store_true", help="also write graphs.dot")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_build_graphs)
-
-    p = sub.add_parser("mine-patterns", help="mine failure patterns into a knowledge base")
-    _add_knobs(p)
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--rules", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_mine_patterns)
+    for name, help_text, inputs, func in _STAGES:
+        p = sub.add_parser(name, help=help_text)
+        _add_knobs(p)
+        for flag in inputs:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=func)
+    sub.choices["build-graphs"].add_argument(
+        "--dot", action="store_true", help="also write graphs.dot"
+    )
 
     p = sub.add_parser("merge", help="merge patterns into a knowledge base")
     p.add_argument("--kb", required=True)

@@ -189,20 +189,6 @@ def _support_counter(
     return supports
 
 
-def count_window_support(
-    labels: Sequence[int],
-    events: Sequence[CanonicalEvent],
-    window: float,
-    granularity: float,
-) -> float:
-    """Fraction of sliding windows containing `labels` as an ordered occurrence.
-
-    `events` must be one dimension's slice of the canonical stream, sorted.
-    """
-    supports = _support_counter(events, window, granularity)
-    return supports(_completions([labels], events)).get(0, 0.0)
-
-
 def mine_episodes(
     events: Sequence[CanonicalEvent],
     window: float,

@@ -334,11 +334,6 @@ def _unescape(s: str) -> str:
     return "".join(out)
 
 
-def extract_template(msg: str, table: TemplateTable) -> int:
-    """Mask `msg` and return its template id, registering it if new."""
-    return table.id_for(mask_message(msg))
-
-
 def parse_lines(
     stream: IO[str] | IO[bytes] | Iterable[str],
     fmt: str = "jsonl",

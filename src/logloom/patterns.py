@@ -474,12 +474,6 @@ def mine_patterns(
     return found
 
 
-def _rule_map(rules) -> Mapping:
-    if isinstance(rules, Mapping):
-        return rules
-    return {rule.label: rule for rule in rules}
-
-
 def consequent_index(g: Digraph) -> int:
     """The pattern's consequent: its greatest-labeled sink node."""
     sources = {u for u, _, _ in g.edges}
@@ -502,7 +496,7 @@ def remove_node(g: Digraph, idx: int) -> Digraph:
 
 
 def structural_confidences(
-    patterns: Sequence[FailurePattern], graphs: Sequence, rules
+    patterns: Sequence[FailurePattern], graphs: Sequence, rule_map: Mapping
 ) -> list[float]:
     """Structural confidence of each pattern mined from `graphs`, in
     order: how often the pattern's context completes.
@@ -511,7 +505,8 @@ def structural_confidences(
     of graphs containing the whole pattern over the count containing the
     pattern with the consequent removed; the remainder may fall apart
     into components, which must be embedded jointly. A single-node
-    pattern falls back to its rule's own confidence.
+    pattern falls back to its rule's own confidence, found in `rule_map`
+    by label.
 
     The whole-pattern count is the one the search found: support is
     count / len(graphs), and with count < 2**51 the float product
@@ -521,7 +516,6 @@ def structural_confidences(
     are among the window's labels and its arcs, keyed by label, among the
     window's edges. Counting needs no search.
     """
-    rule_map = _rule_map(rules)
     total = len(graphs)
     hosts = [(frozenset(gn.label for gn in g.nodes), g.edges) for g in graphs]
     out: list[float] = []
@@ -546,23 +540,13 @@ COMBINERS: dict[str, Callable[[Sequence[float]], float]] = {
 
 
 def knowledge_confidence(
-    pattern: FailurePattern,
-    rules,
-    combiner: str,
-    structural: float | None = None,
+    pattern: FailurePattern, rule_map: Mapping, combiner: str, structural: float
 ) -> float:
-    """Blend structural confidence with the constituent rules' confidences.
-
-    `structural`, when given, stands in for the pattern's own
-    `structural_confidence`, so a pattern can be scored before it
-    carries one.
-    """
+    """Blend the structural confidence `structural` with the confidences
+    of the pattern's rules in `rule_map`, keyed by label."""
     if combiner not in COMBINERS:
         raise ValueError(f"combiner must be one of {sorted(COMBINERS)}")
-    rule_map = _rule_map(rules)
     confs = [rule_map[label].confidence for label in pattern.graph.labels]
-    if structural is None:
-        structural = pattern.structural_confidence
     return structural * COMBINERS[combiner](confs)
 
 

@@ -229,8 +229,14 @@ def read_config(path: str | Path) -> dict[str, Any]:
     return data
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    return PipelineConfig.from_dict(read_config(path))
+def ascii_id(text: str) -> int | None:
+    """The id that `text` spells as a run of ASCII digits, else None."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def load_blacklist(path: str | Path) -> frozenset[int]:
@@ -243,10 +249,7 @@ def load_blacklist(path: str | Path) -> frozenset[int]:
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        try:
-            tid = int(text) if text.isascii() and text.isdigit() else None
-        except ValueError:  # more digits than int() converts
-            tid = None
+        tid = ascii_id(text)
         if tid is None:
             raise ConfigError(
                 "blacklist", f"{path}: line {line_no}: {text!r} is not a template id"
@@ -981,11 +984,6 @@ class PipelineResult:
     report: str
     events_parsed: int
     rejects: int
-    events_kept: int
-    rules: int
-    instances: int
-    graphs: int
-    patterns: int
 
 
 def _top_rules(rules: Sequence[SequenceRule], table: TemplateTable, limit: int = 10) -> list[str]:
@@ -1079,9 +1077,4 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         report=report,
         events_parsed=len(events),
         rejects=len(rejects),
-        events_kept=len(kept),
-        rules=len(rules),
-        instances=len(instances),
-        graphs=len(graphs),
-        patterns=len(patterns),
     )

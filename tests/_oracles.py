@@ -7,6 +7,9 @@ traversal, containment by trying every injective vertex mapping.
 patterns by a backtracking containment search over every host, the way
 support and structural confidence are defined; the miner and
 `structural_confidences` count them without a search.
+`count_window_support` is no reference: it reads one sequence's support
+off the episode miner's own one-pass counter, for the tests that hold
+that counter to `brute_window_support`.
 JSON Lines are parsed by `json.loads` per line with each field checked in
 turn. Messages are masked by the four regex passes as first written, and
 canonicalized one record at a time through the public constructors. The
@@ -39,7 +42,8 @@ from logloom import (
     TemplateTable,
     WindowGraph,
 )
-from logloom.patterns import _adjacency, _arc_map, _rule_map, consequent_index, remove_node
+from logloom.episodes import _completions, _support_counter
+from logloom.patterns import _adjacency, _arc_map, consequent_index, remove_node
 
 
 def _reference_record(obj: object, dim_default: Dimension | None) -> LogRecord | str:
@@ -149,6 +153,20 @@ def reference_canonicalize(
 def _is_subsequence(needle: Sequence[int], hay: Sequence[int]) -> bool:
     it = iter(hay)
     return all(any(label == h for h in it) for label in needle)
+
+
+def count_window_support(
+    labels: Sequence[int],
+    events: Sequence[CanonicalEvent],
+    window: float,
+    granularity: float,
+) -> float:
+    """Fraction of sliding windows containing `labels` as an ordered occurrence.
+
+    `events` must be one dimension's slice of the canonical stream, sorted.
+    """
+    supports = _support_counter(events, window, granularity)
+    return supports(_completions([labels], events)).get(0, 0.0)
 
 
 def brute_window_support(
@@ -472,7 +490,7 @@ def pattern_confidence(pattern: FailurePattern, graphs: Sequence, rules) -> floa
     """
     g = pattern.graph
     if g.n == 1:
-        return _rule_map(rules)[g.labels[0]].confidence
+        return {rule.label: rule for rule in rules}[g.labels[0]].confidence
     hosts = [_as_digraph(x) for x in graphs]
 
     reduced = remove_node(g, consequent_index(g))

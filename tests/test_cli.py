@@ -495,8 +495,8 @@ class TestPipeline:
     def test_rerun_is_byte_identical(self, workdir, tmp_path):
         log = workdir / "data" / "log.jsonl"
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "again")]) == 0
-        for name in ["events.jsonl", "rules.json", "graphs.json", "kb.json"]:
-            assert (tmp_path / "again" / name).read_bytes() == (workdir / "run" / name).read_bytes()
+        for name in INTERCHANGE:
+            assert (tmp_path / "again" / name).read_bytes() == (workdir / "run" / name).read_bytes(), name
 
 
 class TestDeterminism:
@@ -561,8 +561,15 @@ class TestFootprint:
 
 class TestComposability:
     def test_stagewise_equals_pipeline(self, workdir, tmp_path):
-        log = workdir / "data" / "log.jsonl"
+        """Each interchange file of the stage commands run one by one equals
+        the pipeline's, on a log with a few malformed lines among the good."""
+        lines = (workdir / "data" / "log.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        for at, bad in [(len(lines), "[]\n"), (10, '{"ts": 1}\n'), (3, "{not json\n")]:
+            lines.insert(at, bad)
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(lines), encoding="utf-8")
         s = tmp_path
+        assert main(["pipeline", "--input", str(log), "--out", str(s / "run")]) == 0
         assert main(["ingest", "--input", str(log), "--out", str(s / "1")]) == 0
         assert main(["preprocess", "--events", str(s / "1" / "events.jsonl"), "--out", str(s / "2")]) == 0
         assert main([
@@ -574,13 +581,12 @@ class TestComposability:
         assert main([
             "mine-patterns", "--graphs", str(s / "4" / "graphs.json"),
             "--rules", str(s / "3" / "rules.json"), "--out", str(s / "5")]) == 0
-        run = workdir / "run"
-        assert (s / "1" / "templates.tsv").read_bytes() == (run / "templates.tsv").read_bytes()
-        assert (s / "2" / "events.jsonl").read_bytes() == (run / "events.jsonl").read_bytes()
-        assert (s / "3" / "rules.json").read_bytes() == (run / "rules.json").read_bytes()
-        assert (s / "3" / "instances.jsonl").read_bytes() == (run / "instances.jsonl").read_bytes()
-        assert (s / "4" / "graphs.json").read_bytes() == (run / "graphs.json").read_bytes()
-        assert (s / "5" / "kb.json").read_bytes() == (run / "kb.json").read_bytes()
+        # The stage, by its output directory, that writes each file.
+        stage = {"templates.tsv": "1", "rejects.txt": "1", "events.jsonl": "2", "rules.json": "3",
+                 "instances.jsonl": "3", "graphs.json": "4", "kb.json": "5"}
+        for name in INTERCHANGE:
+            assert (s / stage[name] / name).read_bytes() == (s / "run" / name).read_bytes(), name
+        assert len((s / "run" / "rejects.txt").read_text().splitlines()) == 3
         assert "digraph window_0" in (s / "4" / "graphs.dot").read_text()
 
 
@@ -746,6 +752,11 @@ class TestQuery:
         assert main(["query", "--kb", str(kb), "--target", "status"]) == 1
         assert main(["query", "--kb", str(kb), "--target", "bogus:0"]) == 1
         assert main(["query", "--kb", str(kb), "--target", "status:zero"]) == 1
+        # An id is ASCII digits only: no sign, space, digit-group
+        # underscore or non-ASCII digit, and no more digits than int() reads.
+        for raw in ("+0", " 0", "0_0", "\u0660", "-1", "9" * 5000):
+            assert main(["query", "--kb", str(kb), "--target", f"status:{raw}"]) == 1, raw
+            assert "target id must be ASCII digits" in capsys.readouterr().err
 
     def test_unresolvable_target_is_3(self, workdir, capsys):
         kb = workdir / "run" / "kb.json"

@@ -8,14 +8,18 @@ from logloom import (
     Dimension,
     EmptyDimensionError,
     SequenceRule,
-    count_window_support,
     derive_rules,
     find_instances,
     mine_episodes,
 )
 from logloom.episodes import Episode, InternalConsistencyError
 
-from _oracles import brute_episodes, brute_minimal_instances, brute_window_support
+from _oracles import (
+    brute_episodes,
+    brute_minimal_instances,
+    brute_window_support,
+    count_window_support,
+)
 from conftest import trace
 
 

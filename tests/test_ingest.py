@@ -18,7 +18,6 @@ from logloom import (
     SchemaError,
     TemplateTable,
     canonicalize,
-    extract_template,
     mask_message,
     parse_lines,
 )
@@ -151,9 +150,9 @@ class TestMasking:
 class TestTemplateTable:
     def test_first_seen_contiguous_ids(self):
         table = TemplateTable()
-        a = extract_template("fan 1 failed", table)
-        b = extract_template("fan 2 failed", table)
-        c = extract_template("disk full", table)
+        a = table.id_for(mask_message("fan 1 failed"))
+        b = table.id_for(mask_message("fan 2 failed"))
+        c = table.id_for(mask_message("disk full"))
         assert (a, b) == (0, 0)  # same mask
         assert c == 1
         assert len(table) == 2

@@ -5,6 +5,7 @@ read as `logloom.<layer>`, imports its module when first read, so a
 fresh process loads only the layers it calls.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -25,13 +26,19 @@ ALL = [
     "PipelineConfig", "PipelineResult", "QueryResult", "RejectEntry", "RuleInstance",
     "ScenarioError", "ScenarioSpec", "SchemaError", "SequenceRule", "TemplateTable",
     "WindowGraph", "build_window_graphs", "canonicalize", "coalesce", "config_digest",
-    "count_window_support", "derive_rules", "export", "extract_template", "filter_noise",
-    "find_instances", "generate", "import_expert", "knowledge_confidence", "label_weights",
-    "load", "load_blacklist", "load_config", "load_scenario", "mask_message", "merge",
-    "min_dfs_code", "mine_episodes", "mine_patterns", "parse_lines", "pattern_to_dot",
-    "query_root_causes", "rule_weight", "run_pipeline", "scenario_from_dict",
+    "derive_rules", "export", "filter_noise", "find_instances", "generate", "import_expert",
+    "knowledge_confidence", "label_weights", "load", "load_blacklist", "load_scenario",
+    "mask_message", "merge", "min_dfs_code", "mine_episodes", "mine_patterns", "parse_lines",
+    "pattern_to_dot", "query_root_causes", "rule_weight", "run_pipeline", "scenario_from_dict",
     "window_graph_to_dot",
 ]
+
+# The files a public name must be used in: the layers, the demos and the benchmark.
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(
+    [p for p in (ROOT / "src" / "logloom").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+)
 
 # The modules `import logloom` loaded when every layer was imported eagerly.
 LAYERS = ["episodes", "graphs", "ingest", "knowledge", "patterns", "pipeline", "preprocess",
@@ -81,3 +88,22 @@ class TestExports:
         with pytest.raises(AttributeError, match="module 'logloom' has no attribute 'nope'"):
             logloom.nope
         assert not hasattr(logloom, "nope")
+        # Names that left `__all__` because only the tests called them.
+        for name in ("count_window_support", "extract_template", "load_config"):
+            with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+                getattr(logloom, name)
+
+    def test_each_name_is_used_by_the_program(self):
+        # A public name earns its place only if a layer, a demo or the
+        # benchmark reads it: as a name, an attribute or an import alias.
+        # Definitions do not count, and `__init__.py` only lists names.
+        used: set[str] = set()
+        for path in CALLERS:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        assert [name for name in logloom.__all__ if name not in used] == []

@@ -433,15 +433,16 @@ class TestConfidence:
         import dataclasses
 
         pattern = dataclasses.replace(pattern, structural_confidence=0.5)
-        rules = [_atomic_rule(A, confidence=0.9), _atomic_rule(B, confidence=0.4)]
-        geo = knowledge_confidence(pattern, rules, "geomean")
-        low = knowledge_confidence(pattern, rules, "min")
-        prod = knowledge_confidence(pattern, rules, "product")
+        rules = {A: _atomic_rule(A, confidence=0.9), B: _atomic_rule(B, confidence=0.4)}
+        structural = pattern.structural_confidence
+        geo = knowledge_confidence(pattern, rules, "geomean", structural)
+        low = knowledge_confidence(pattern, rules, "min", structural)
+        prod = knowledge_confidence(pattern, rules, "product", structural)
         assert geo == pytest.approx(0.5 * (0.9 * 0.4) ** 0.5)
         assert low == pytest.approx(0.5 * 0.4)
         assert prod == pytest.approx(0.5 * 0.36)
         with pytest.raises(ValueError):
-            knowledge_confidence(pattern, rules, "mean")
+            knowledge_confidence(pattern, rules, "mean", structural)
 
 
 def _window(index, labels, edges):
