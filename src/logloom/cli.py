@@ -15,36 +15,22 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .graphs import label_text, window_graph_to_dot
-from .ingest import Dimension, ParseError, TemplateTable, read_text
+from .ingest import Dimension, ParseError, read_text
 from .knowledge import NODE_SCOPES, merge, query_root_causes
 from .patterns import consequent_index, pattern_to_dot
 from .pipeline import (
+    STAGES,
     ConfigError,
     PipelineConfig,
     SchemaError,
     ascii_id,
     export,
-    graphs_stage,
     import_expert,
-    ingest_stage,
-    kb_stage,
     knob_type,
     load,
     load_blacklist,
-    mine_rules_stage,
-    patterns_stage,
-    preprocess_stage,
     read_config,
-    read_events,
-    read_graphs,
-    read_instances,
-    read_rules_doc,
-    rules_doc,
     run_pipeline,
-    write_events,
-    write_graphs,
-    write_instances,
-    write_rejects,
 )
 from .synth import ScenarioError, generate, load_scenario, write_jsonl
 
@@ -101,68 +87,20 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    events, table, rejects = ingest_stage(cfg, args.input)
-    out = _out_dir(args)
-    write_events(events, out / "events.jsonl")
-    table.save(out / "templates.tsv")
-    write_rejects(rejects, out / "rejects.txt")
-    print(f"{len(events)} events, {len(table)} templates, {len(rejects)} rejects")
-    return 0
-
-
-def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    events = read_events(args.events)
-    kept, merged_away, report = preprocess_stage(cfg, events)
-    out = _out_dir(args)
-    write_events(kept, out / "events.jsonl")
-    summary = (
-        f"kept {len(kept)} of {len(events)} events "
-        f"(coalesced away: {merged_away})\n" + report.render() + "\n"
-    )
-    (out / "preprocess_report.txt").write_text(summary, encoding="utf-8")
-    print(summary, end="")
-    return 0
-
-
-def _cmd_mine_rules(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    table = TemplateTable.load(args.templates)
-    events = read_events(args.events, table)
-    rules, instances = mine_rules_stage(cfg, events)
-    out = _out_dir(args)
-    (out / "rules.json").write_text(export(rules_doc(rules, table, cfg)), encoding="utf-8")
-    write_instances(instances, out / "instances.jsonl")
-    print(f"{len(rules)} rules, {len(instances)} instances")
-    return 0
-
-
-def _cmd_build_graphs(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    rules = list(read_rules_doc(args.rules).rules.values())
-    instances = read_instances(args.instances, rules)
-    graphs = graphs_stage(cfg, instances, rules)
-    out = _out_dir(args)
-    write_graphs(graphs, out / "graphs.json")
-    if args.dot:
-        text = "".join(window_graph_to_dot(g) for g in graphs)
+def _cmd_stage(args: argparse.Namespace) -> int:
+    """Run one row of the stage table: read its files, run its step,
+    write its files and print its summary."""
+    stage, cfg = args.stage, _config_from_args(args)
+    values = stage.load(vars(args))
+    summary = stage.step(cfg, values)
+    out = Path(args.out or ".")
+    stage.save(values, out)
+    if stage.command == "preprocess":
+        (out / "preprocess_report.txt").write_text(summary, encoding="utf-8")
+    if getattr(args, "dot", False):
+        text = "".join(window_graph_to_dot(g) for g in values["graphs"])
         (out / "graphs.dot").write_text(text, encoding="utf-8")
-    print(f"{len(graphs)} window graphs")
-    return 0
-
-
-def _cmd_mine_patterns(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    doc = read_rules_doc(args.rules)
-    rules = list(doc.rules.values())
-    graphs = read_graphs(args.graphs, rules)
-    patterns = patterns_stage(cfg, graphs, rules)
-    kb, _ = kb_stage(cfg, patterns, rules, doc.templates)
-    out = _out_dir(args)
-    (out / "kb.json").write_text(export(kb), encoding="utf-8")
-    print(f"{len(patterns)} patterns")
+    print(summary, end="")
     return 0
 
 
@@ -278,20 +216,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-# The stage commands: name, help, required input files, handler. Each
-# also takes the analysis knobs and --out.
-_STAGES = (
-    ("ingest", "parse a log into canonical events", ("--input",), _cmd_ingest),
-    ("preprocess", "coalesce repeats and drop noise", ("--events",), _cmd_preprocess),
-    ("mine-rules", "mine per-dimension sequence rules", ("--events", "--templates"),
-     _cmd_mine_rules),
-    ("build-graphs", "correlate rule instances into window graphs",
-     ("--instances", "--rules"), _cmd_build_graphs),
-    ("mine-patterns", "mine failure patterns into a knowledge base", ("--graphs", "--rules"),
-     _cmd_mine_patterns),
-)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="logloom", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -301,13 +225,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synth)
 
-    for name, help_text, inputs, func in _STAGES:
-        p = sub.add_parser(name, help=help_text)
+    # The stage commands: each takes the analysis knobs, a flag per file
+    # it reads, and --out.
+    for stage in STAGES:
+        p = sub.add_parser(stage.command, help=stage.help)
         _add_knobs(p)
-        for flag in inputs:
-            p.add_argument(flag, required=True)
+        for stem in stage.reads:
+            p.add_argument("--" + stem, required=True)
         p.add_argument("--out")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_stage, stage=stage)
     sub.choices["build-graphs"].add_argument(
         "--dot", action="store_true", help="also write graphs.dot"
     )

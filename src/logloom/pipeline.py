@@ -1,5 +1,6 @@
-"""Batch pipeline: configuration, stage functions, and the readers and
-writers of every interchange file, `rules.json` and `kb.json` included."""
+"""Batch pipeline: configuration, the readers and writers of every
+interchange file, `rules.json` and `kb.json` included, and `STAGES`, the
+stage table that `run_pipeline` and the five stage commands walk."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .episodes import (
     RuleInstance,
@@ -52,7 +53,7 @@ from .patterns import (
     mine_patterns,
     structural_confidences,
 )
-from .preprocess import NoiseReport, coalesce, filter_noise
+from .preprocess import coalesce, filter_noise
 
 # The SHA-256 CPython builds in, so that a run does not map OpenSSL's
 # libcrypto, as `hashlib` does, to hash one small config document.
@@ -895,26 +896,10 @@ def read_graphs(
 
 # ---------------------------------------------------------------------------
 # stages
-
-
-def ingest_stage(
-    cfg: PipelineConfig, input_path: str | Path
-) -> tuple[list[CanonicalEvent], TemplateTable, list[RejectEntry]]:
-    dim_default = Dimension(cfg.dim_default) if cfg.dim_default else None
-    with open(input_path, "rb") as fh:
-        result = parse_lines(fh, fmt=cfg.input_format, dim_default=dim_default)
-    table = TemplateTable()
-    events, canon_rejects = canonicalize(result.records, table)
-    return events, table, result.rejects + canon_rejects
-
-
-def preprocess_stage(
-    cfg: PipelineConfig, events: Sequence[CanonicalEvent]
-) -> tuple[list[CanonicalEvent], int, NoiseReport]:
-    coalesced = coalesce(events, cfg.gap)
-    merged_away = len(events) - len(coalesced)
-    kept, report = filter_noise(coalesced, cfg.blacklist, cfg.max_rate)
-    return kept, merged_away, report
+#
+# A run hands named values from stage to stage; a value a file holds is
+# named for the file's stem. Layers, readers and writers are called by
+# their name in this module, so the benchmark's traced run can wrap them.
 
 
 def mine_rules_stage(
@@ -933,14 +918,6 @@ def mine_rules_stage(
         instances.extend(find_instances(dim_rules, dim_events, cfg.window))
     instances.sort(key=lambda i: (i.anchor, i.dim.rank, i.rule_id, i.node))
     return rules, instances
-
-
-def graphs_stage(
-    cfg: PipelineConfig,
-    instances: Sequence[RuleInstance],
-    rules: Sequence[SequenceRule],
-) -> list[WindowGraph]:
-    return build_window_graphs(instances, rules, cfg.corr_window, cfg.max_lag, cfg.weight_mode)
 
 
 def patterns_stage(
@@ -972,6 +949,115 @@ def kb_stage(
 ) -> tuple[KnowledgeBase, MergeReport]:
     kb = rules_doc(rules, table, cfg)
     return merge(kb, patterns)
+
+
+def _ingest(cfg: PipelineConfig, v: dict[str, Any]) -> str:
+    dim_default = Dimension(cfg.dim_default) if cfg.dim_default else None
+    with open(v["input"], "rb") as fh:
+        parsed = parse_lines(fh, fmt=cfg.input_format, dim_default=dim_default)
+    table = v["templates"] = TemplateTable()
+    events, rejects = canonicalize(parsed.records, table)
+    v["events"], v["rejects"] = events, parsed.rejects + rejects
+    return f"{len(events)} events, {len(table)} templates, {len(v['rejects'])} rejects\n"
+
+
+def _preprocess(cfg: PipelineConfig, v: dict[str, Any]) -> str:
+    events = v["events"]
+    coalesced = coalesce(events, cfg.gap)
+    v["events"], v["noise"] = filter_noise(coalesced, cfg.blacklist, cfg.max_rate)
+    v["events_in"], v["coalesced_away"] = len(events), len(events) - len(coalesced)
+    return (
+        f"kept {len(v['events'])} of {len(events)} events "
+        f"(coalesced away: {v['coalesced_away']})\n{v['noise'].render()}\n"
+    )
+
+
+def _mine_rules(cfg: PipelineConfig, v: dict[str, Any]) -> str:
+    rules, v["instances"] = mine_rules_stage(cfg, v["events"])
+    v["rules"] = rules_doc(rules, v["templates"], cfg)
+    return f"{len(rules)} rules, {len(v['instances'])} instances\n"
+
+
+def _build_graphs(cfg: PipelineConfig, v: dict[str, Any]) -> str:
+    rules = list(v["rules"].rules.values())
+    v["graphs"] = build_window_graphs(
+        v["instances"], rules, cfg.corr_window, cfg.max_lag, cfg.weight_mode
+    )
+    return f"{len(v['graphs'])} window graphs\n"
+
+
+def _mine_patterns(cfg: PipelineConfig, v: dict[str, Any]) -> str:
+    doc = v["rules"]
+    rules = list(doc.rules.values())
+    v["patterns"] = patterns_stage(cfg, v["graphs"], rules)
+    v["kb"], _ = kb_stage(cfg, v["patterns"], rules, doc.templates)
+    return f"{len(v['patterns'])} patterns\n"
+
+
+# The reader of each file a stage command takes, by flag. A file that
+# others are checked against reads first: templates before events, rules
+# before instances and graphs.
+_READERS = {
+    "input": lambda path, v: path,
+    "templates": lambda path, v: TemplateTable.load(path),
+    "rules": lambda path, v: read_rules_doc(path),
+    "events": lambda path, v: read_events(path, v.get("templates")),
+    "instances": lambda path, v: read_instances(path, v["rules"].rules.values()),
+    "graphs": lambda path, v: read_graphs(path, v["rules"].rules.values()),
+}
+
+# The writer of each file a stage makes, given the value named by its stem.
+_WRITERS = {
+    "events.jsonl": lambda events, path: write_events(events, path),
+    "templates.tsv": lambda table, path: table.save(path),
+    "rejects.txt": lambda rejects, path: write_rejects(rejects, path),
+    "rules.json": lambda doc, path: path.write_text(export(doc), encoding="utf-8"),
+    "instances.jsonl": lambda instances, path: write_instances(instances, path),
+    "graphs.json": lambda graphs, path: write_graphs(graphs, path),
+    "kb.json": lambda kb, path: path.write_text(export(kb), encoding="utf-8"),
+}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: the command and its help, the files the
+    command reads, by flag, and the files the stage writes. `step` runs the
+    stage on the values of a run, adds the values it makes, and returns the
+    command's summary."""
+
+    command: str
+    help: str
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    step: Callable[[PipelineConfig, dict[str, Any]], str]
+
+    def load(self, paths: Mapping[str, str | Path]) -> dict[str, Any]:
+        """The values of the files the command reads, from `paths` by flag."""
+        values: dict[str, Any] = {}
+        for stem, read in _READERS.items():
+            if stem in self.reads:
+                values[stem] = read(paths[stem], values)
+        return values
+
+    def save(self, values: dict[str, Any], out: Path, names: Iterable[str] | None = None) -> None:
+        """Write `names`, by default every file of the stage, into `out`."""
+        out.mkdir(parents=True, exist_ok=True)
+        for name in self.writes if names is None else names:
+            _WRITERS[name](values[name.split(".")[0]], out / name)
+
+
+STAGES = (
+    Stage("ingest", "parse a log into canonical events", ("input",),
+          ("events.jsonl", "templates.tsv", "rejects.txt"), _ingest),
+    Stage("preprocess", "coalesce repeats and drop noise", ("events",),
+          ("events.jsonl",), _preprocess),
+    Stage("mine-rules", "mine per-dimension sequence rules", ("events", "templates"),
+          ("rules.json", "instances.jsonl"), _mine_rules),
+    Stage("build-graphs", "correlate rule instances into window graphs", ("instances", "rules"),
+          ("graphs.json",), _build_graphs),
+    Stage("mine-patterns", "mine failure patterns into a knowledge base", ("graphs", "rules"),
+          ("kb.json",), _mine_patterns),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +1099,9 @@ def _top_patterns(patterns: Sequence[FailurePattern], limit: int = 10) -> list[s
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Execute every stage, writing all interchange files to cfg.out.
+    """Run every stage of `STAGES` in memory, writing each file once, after
+    the last stage that makes it, to cfg.out. The output directory is made
+    once the first stage has succeeded.
 
     Outputs other than report.txt (which carries timings) are
     byte-deterministic functions of the input file and the analysis
@@ -1022,59 +1110,32 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     if not cfg.input:
         raise ConfigError("input", "required for pipeline runs")
     out_dir = Path(cfg.out) if cfg.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    timings: list[tuple[str, float]] = []
-
-    def timed(name: str, fn, *args):
+    last = {name: stage for stage in STAGES for name in stage.writes}
+    values: dict[str, Any] = {"input": cfg.input}
+    timings = []
+    for stage in STAGES:
         start = time.perf_counter()
-        result = fn(*args)
-        timings.append((name, time.perf_counter() - start))
-        return result
+        stage.step(cfg, values)
+        timings.append(f"{stage.command} {time.perf_counter() - start:.3f}s")
+        stage.save(values, out_dir, [name for name in stage.writes if last[name] is stage])
 
-    events, table, rejects = timed("ingest", ingest_stage, cfg, cfg.input)
-    table.save(out_dir / "templates.tsv")
-    write_rejects(rejects, out_dir / "rejects.txt")
-
-    kept, merged_away, noise_report = timed("preprocess", preprocess_stage, cfg, events)
-    write_events(kept, out_dir / "events.jsonl")
-
-    rules, instances = timed("mine-rules", mine_rules_stage, cfg, kept)
-    doc_kb = rules_doc(rules, table, cfg)
-    (out_dir / "rules.json").write_text(export(doc_kb), encoding="utf-8")
-    write_instances(instances, out_dir / "instances.jsonl")
-
-    graphs = timed("build-graphs", graphs_stage, cfg, instances, rules)
-    write_graphs(graphs, out_dir / "graphs.json")
-
-    patterns = timed("mine-patterns", patterns_stage, cfg, graphs, rules)
-    kb, _ = kb_stage(cfg, patterns, rules, table)
-    (out_dir / "kb.json").write_text(export(kb), encoding="utf-8")
-
+    doc, noise, patterns = values["rules"], values["noise"], values["patterns"]
     lines = [
-        f"input events: {len(events)} (rejected lines: {len(rejects)})",
-        f"after preprocess: {len(kept)} events "
-        f"(coalesced away: {merged_away}, blacklist: {noise_report.blacklist_dropped}, "
-        f"rate-dropped: {noise_report.rate_dropped})",
+        f"input events: {values['events_in']} (rejected lines: {len(values['rejects'])})",
+        f"after preprocess: {len(values['events'])} events "
+        f"(coalesced away: {values['coalesced_away']}, blacklist: {noise.blacklist_dropped}, "
+        f"rate-dropped: {noise.rate_dropped})",
     ]
-    if noise_report.rate_check_skipped:
+    if noise.rate_check_skipped:
         lines.append("rate check skipped: zero trace duration")
-    lines.append(f"rules: {len(rules)}")
-    lines.extend(_top_rules(rules, table))
-    lines.append(f"instances: {len(instances)}")
-    lines.append(f"window graphs: {len(graphs)}")
+    lines.append(f"rules: {len(doc.rules)}")
+    lines.extend(_top_rules(list(doc.rules.values()), doc.templates))
+    lines.append(f"instances: {len(values['instances'])}")
+    lines.append(f"window graphs: {len(values['graphs'])}")
     lines.append(f"patterns: {len(patterns)}")
     lines.extend(_top_patterns(patterns))
-    lines.append(
-        "timings: "
-        + ", ".join(f"{name} {dt:.3f}s" for name, dt in timings)
-    )
+    lines.append("timings: " + ", ".join(timings))
     report = "\n".join(lines) + "\n"
     (out_dir / "report.txt").write_text(report, encoding="utf-8")
 
-    return PipelineResult(
-        kb=kb,
-        report=report,
-        events_parsed=len(events),
-        rejects=len(rejects),
-    )
+    return PipelineResult(values["kb"], report, values["events_in"], len(values["rejects"]))

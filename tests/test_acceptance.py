@@ -34,7 +34,7 @@ from logloom import (
     run_pipeline,
     scenario_from_dict,
 )
-from logloom.pipeline import ingest_stage, read_graphs
+from logloom.pipeline import STAGES, read_graphs
 from logloom.synth import write_jsonl
 
 from _oracles import (
@@ -397,7 +397,9 @@ def test_c6_round_trips_and_determinism(request, tmp_path_factory):
             for name in INTERCHANGE:
                 assert (out / name).read_bytes() == baseline[name], (rerun, name)
 
-        events, _, _ = ingest_stage(fig.cfg, fig.cfg.input)
+        ingested = {"input": fig.cfg.input}
+        STAGES[0].step(fig.cfg, ingested)
+        events = ingested["events"]
         once = coalesce(events, fig.cfg.gap)
         assert coalesce(once, fig.cfg.gap) == once
         kept, _ = filter_noise(once, (), fig.cfg.max_rate)

@@ -13,14 +13,7 @@ import logloom
 from _oracles import reference_write_events, reference_write_graphs, reference_write_instances
 from logloom import ConfigError, PipelineConfig, config_digest
 from logloom.cli import main
-from logloom.pipeline import (
-    graphs_stage,
-    mine_rules_stage,
-    preprocess_stage,
-    read_events,
-    read_instances,
-    read_rules_doc,
-)
+from logloom.pipeline import STAGES
 
 # Every file of a run that is a byte-exact function of the log and the knobs.
 INTERCHANGE = ("templates.tsv", "rejects.txt", "events.jsonl", "rules.json",
@@ -80,6 +73,16 @@ class TestExitCodes:
         )
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "out")]) == 2
         assert "rejected 2 of 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    @pytest.mark.parametrize("log", ["missing", "majority_rejects"])
+    def test_failed_ingest_creates_no_output_directory(self, tmp_path, capsys, command, log):
+        path = tmp_path / "log.jsonl"
+        if log == "majority_rejects":
+            path.write_text('garbage\nmore garbage\n{"ts": 1, "node": "a", "dim": "event", "msg": "x"}\n')
+        out = tmp_path / "out" / "d"
+        assert main([command, "--input", str(path), "--out", str(out)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_json_lines_past_the_decoder_limits_are_rejected(self, tmp_path, capsys):
         """An integer literal over the digit limit and nesting over the
@@ -474,12 +477,9 @@ class TestSynth:
 
 class TestPipeline:
     def test_artifacts_written(self, workdir):
-        run = workdir / "run"
-        for name in [
-            "templates.tsv", "rejects.txt", "events.jsonl", "rules.json",
-            "instances.jsonl", "graphs.json", "kb.json", "report.txt",
-        ]:
-            assert (run / name).exists(), name
+        """The run directory holds the seven interchange files and the
+        report, and nothing else."""
+        assert {p.name for p in (workdir / "run").iterdir()} == {*INTERCHANGE, "report.txt"}
 
     def test_report_lists_counts_and_timings(self, workdir, capsys):
         text = (workdir / "run" / "report.txt").read_text()
@@ -634,11 +634,19 @@ class TestComposability:
             "build-graphs", "--instances", str(s / "3" / "instances.jsonl"),
             "--rules", str(s / "3" / "rules.json"), "--out", str(s / "4")]) == 0
 
-        cfg = PipelineConfig()
-        kept, _, _ = preprocess_stage(cfg, read_events(s / "events.jsonl"))
-        _, instances = mine_rules_stage(cfg, read_events(s / "2" / "events.jsonl"))
-        rules = list(read_rules_doc(s / "3" / "rules.json").rules.values())
-        graphs = graphs_stage(cfg, read_instances(s / "3" / "instances.jsonl", rules), rules)
+        rows = {stage.command: stage for stage in STAGES}
+
+        def step(command: str, **paths) -> dict:
+            """The values the stage's step makes from the files at `paths`."""
+            values = rows[command].load(paths)
+            rows[command].step(PipelineConfig(), values)
+            return values
+
+        kept = step("preprocess", events=s / "events.jsonl")["events"]
+        instances = step("mine-rules", events=s / "2" / "events.jsonl",
+                         templates=s / "templates.tsv")["instances"]
+        graphs = step("build-graphs", instances=s / "3" / "instances.jsonl",
+                      rules=s / "3" / "rules.json")["graphs"]
         assert isinstance(kept[0].ts, int) and isinstance(instances[0].anchor, int)
         assert any(g.edges for g in graphs)
         for written, write, records in [
@@ -649,6 +657,77 @@ class TestComposability:
             write(records, s / "reference")
             assert written.read_bytes() == (s / "reference").read_bytes(), written.name
             assert b"n\\u0153ud-\\u03b2" in written.read_bytes()
+
+
+class TestStageCommands:
+    STDOUT = {
+        "ingest": "117 events, 3 templates, 2 rejects\n",
+        "preprocess": "kept 24 of 117 events (coalesced away: 3)\n"
+                      "noise/blacklist: dropped 0 events\n"
+                      "noise/rate: dropped 90 events across 1 streams\n",
+        "mine-rules": "2 rules, 24 instances\n",
+        "build-graphs": "6 window graphs\n",
+        "build-graphs --dot": "6 window graphs\n",
+        "mine-patterns": "3 patterns\n",
+    }
+    FILES = {
+        "ingest": {"events.jsonl", "templates.tsv", "rejects.txt"},
+        "preprocess": {"events.jsonl", "preprocess_report.txt"},
+        "mine-rules": {"rules.json", "instances.jsonl"},
+        "build-graphs": {"graphs.json"},
+        "build-graphs --dot": {"graphs.json", "graphs.dot"},
+        "mine-patterns": {"kb.json"},
+    }
+
+    def test_stdout_and_files_of_each_command(self, workdir, tmp_path, capsys):
+        """Each command's exact standard output and output files, on a log
+        that gives every stage some work: the synth log with a malformed
+        first and last line, three repeats one second after the events
+        they repeat, and a heartbeat every 20 s that `--max-rate 100`
+        drops as a noisy stream."""
+        rows = [json.loads(line) for line in (workdir / "data" / "log.jsonl").read_text().splitlines()]
+        rows += [{**row, "ts": row["ts"] + 1} for row in rows[:3]]
+        rows += [{"ts": t, "node": "c", "dim": "event", "msg": "heartbeat ok"} for t in range(0, 1800, 20)]
+        rows.sort(key=lambda row: row["ts"])
+        log = tmp_path / "log.jsonl"
+        log.write_text("{not json\n" + "".join(json.dumps(r) + "\n" for r in rows) + "[]\n")
+        s = tmp_path
+        runs = {
+            "ingest": ["--input", str(log)],
+            "preprocess": ["--events", str(s / "ingest" / "events.jsonl"), "--max-rate", "100"],
+            "mine-rules": ["--events", str(s / "preprocess" / "events.jsonl"),
+                           "--templates", str(s / "ingest" / "templates.tsv")],
+            "build-graphs": ["--instances", str(s / "mine-rules" / "instances.jsonl"),
+                             "--rules", str(s / "mine-rules" / "rules.json")],
+            "build-graphs --dot": ["--instances", str(s / "mine-rules" / "instances.jsonl"),
+                                   "--rules", str(s / "mine-rules" / "rules.json"), "--dot"],
+            "mine-patterns": ["--graphs", str(s / "build-graphs" / "graphs.json"),
+                              "--rules", str(s / "mine-rules" / "rules.json")],
+        }
+        for run, argv in runs.items():
+            capsys.readouterr()
+            assert main([run.split()[0], *argv, "--out", str(s / run)]) == 0, run
+            assert capsys.readouterr().out == self.STDOUT[run], run
+            assert {p.name for p in (s / run).iterdir()} == self.FILES[run], run
+        report = (s / "preprocess" / "preprocess_report.txt").read_text(encoding="utf-8")
+        assert report == self.STDOUT["preprocess"]
+
+    # Files a stage command writes beyond its stage's interchange files.
+    EXTRAS = {"preprocess": {"preprocess_report.txt"}, "build-graphs": {"graphs.dot"}}
+
+    def test_readme_table_matches_stage_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Subcommands", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            m = re.fullmatch(r"\| `([\w-]+)` \| (.+?) \| (.+) \|", line)
+            if m:
+                files = set(re.findall(r"`(\w+\.\w+)`", m[3]))
+                rows[m[1]] = (re.findall(r"--[\w-]+", m[2]), files)
+        for stage in STAGES:
+            flags, files = rows[stage.command]
+            assert flags == ["--" + stem for stem in stage.reads], stage.command
+            assert files == {*stage.writes, *self.EXTRAS.get(stage.command, ())}, stage.command
 
 
 class TestFlagPrecedence:

@@ -15,7 +15,8 @@ def test_traced_job_finds_the_layer_calls(tmp_path):
     name and unpacks one `parse_lines`, `canonicalize`, `coalesce`,
     `filter_noise` and `kb_stage` call each, and counts edges from the
     `build_window_graphs` calls. Dropping or splitting one of those calls
-    fails here."""
+    fails here, as does a run that never calls the episode and pattern
+    layers through their names."""
     src = Path(logloom.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = tmp_path / "trace"
@@ -32,6 +33,11 @@ def test_traced_job_finds_the_layer_calls(tmp_path):
     assert spans["ingest.parse"] == spans["ingest.canonicalize"] == spans["knowledge.merge"] == 1
     assert spans["preprocess.coalesce"] == spans["preprocess.filter"] == 1
     assert spans["graphs.build"] >= 1
+    # A layer function a stage holds by value, not by its name in
+    # `logloom.pipeline`, escapes the wrappers and its time reads 0.
+    for name in ("episodes.mine", "episodes.derive", "episodes.instances",
+                 "patterns.mine", "patterns.kconf"):
+        assert spans[name] >= 1, name
     assert metrics["graphs.edges"] > 0
     # `traced_layers` skips a name `logloom.pipeline` lacks, so a writer
     # or reader that moved away would drop out of these spans silently.
