@@ -7,8 +7,9 @@ Each public name, and each layer module, is imported on first use
 import importlib
 
 _EXPORTS = {
+    "dims": ("Dimension",),
     "ingest": (
-        "CanonicalEvent", "Dimension", "LogRecord", "ParseError", "ParseResult",
+        "CanonicalEvent", "LogRecord", "ParseError", "ParseResult",
         "RejectEntry", "TemplateTable", "canonicalize", "mask_message", "parse_lines",
     ),
     "preprocess": ("NoiseReport", "coalesce", "filter_noise"),

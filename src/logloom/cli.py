@@ -14,8 +14,9 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .dims import Dimension
 from .graphs import label_text, window_graph_to_dot
-from .ingest import Dimension, ParseError, read_text
+from .ingest import ParseError, read_text
 from .knowledge import NODE_SCOPES, merge, query_root_causes
 from .patterns import consequent_index, pattern_to_dot
 from .pipeline import (

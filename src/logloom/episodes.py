@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .ingest import CanonicalEvent, Dimension
+from .dims import Dimension
+from .ingest import CanonicalEvent
 
 
 class EmptyDimensionError(Exception):

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .dims import Dimension
 from .episodes import RuleInstance, SequenceRule
-from .ingest import Dimension
 
 Label = tuple[Dimension, int]
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
+from .dims import Dimension
 from .episodes import SequenceRule
 from .graphs import Label, label_text
-from .ingest import Dimension, TemplateTable
+from .ingest import TemplateTable
 from .patterns import DfsCode, Digraph, FailurePattern, consequent_index, remove_node
 
 NODE_SCOPES = ("any", "same", "cross")

@@ -12,6 +12,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
+from .dims import _DIM_BY_VALUE, Dimension, dimension
 from .episodes import (
     RuleInstance,
     SequenceRule,
@@ -32,14 +33,11 @@ from .graphs import (
 from .ingest import (
     FORMATS,
     CanonicalEvent,
-    Dimension,
     RejectEntry,
     TemplateTable,
-    _DIM_BY_VALUE,
     _canonical_event,
     canonicalize,
     decode_json_line,
-    dimension,
     json_fault,
     parse_lines,
     read_text,

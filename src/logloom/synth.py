@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .ingest import Dimension, json_fault, read_text
+from .dims import Dimension
 
 
 class ScenarioError(Exception):
@@ -60,28 +62,42 @@ class ScenarioSpec:
 
     def validate(self) -> list[str]:
         problems: list[str] = []
-        if self.duration <= 0:
+        if _finite(problems, "duration", self.duration) and self.duration <= 0:
             problems.append("duration must be > 0")
         if not self.nodes:
             problems.append("nodes must be non-empty")
         if len(set(self.nodes)) != len(self.nodes):
             problems.append("nodes must be distinct")
         for k, src in enumerate(self.background):
-            if src.rate < 0:
+            if _finite(problems, f"background[{k}].rate", src.rate) and src.rate < 0:
                 problems.append(f"background[{k}].rate must be >= 0")
         node_set = set(self.nodes)
         for k, chain in enumerate(self.chains):
-            if not 0 <= chain.probability <= 1:
+            p = chain.probability
+            if _finite(problems, f"chains[{k}].probability", p) and not 0 <= p <= 1:
                 problems.append(f"chains[{k}].probability must be within [0, 1]")
             a, b = chain.lag
-            if not 0 <= a <= b:
+            if _finite(problems, f"chains[{k}].lag", a, b) and not 0 <= a <= b:
                 problems.append(f"chains[{k}].lag must satisfy 0 <= min <= max")
-            if chain.per_hour < 0:
+            if _finite(problems, f"chains[{k}].per_hour", chain.per_hour) and chain.per_hour < 0:
                 problems.append(f"chains[{k}].per_hour must be >= 0")
             for role, ev in (("trigger", chain.trigger), ("effect", chain.effect)):
                 if ev.node not in node_set:
                     problems.append(f"chains[{k}].{role} node {ev.node!r} is not in nodes")
         return problems
+
+
+def _finite(problems: list[str], name: str, *values: float) -> bool:
+    """Whether all `values` are finite; if not, say so for `name`.
+
+    NaN compares false with everything, so it slips past a check such
+    as `rate < 0`, and infinity slips past a lower bound; `generate`
+    given either never ends, writes nothing, or writes timestamps that
+    ingest rejects."""
+    if all(map(math.isfinite, values)):
+        return True
+    problems.append(f"{name} must be finite")
+    return False
 
 
 def _chain_event(raw: Any, path: str, problems: list[str]) -> ChainEvent:
@@ -106,7 +122,16 @@ def _float_field(raw: Mapping, key: str, default: float, path: str, problems: li
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{path}.{key} must be a number")
         return default
-    return float(value)
+    return _float(value)
+
+
+def _float(value: int | float) -> float:
+    """`float(value)`, with an int too large for a float read as the
+    infinity of its sign, which `validate` then reports."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
@@ -146,7 +171,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 trigger=_chain_event(raw.get("trigger"), f"chains[{k}].trigger", problems),
                 effect=_chain_event(raw.get("effect"), f"chains[{k}].effect", problems),
                 probability=_float_field(raw, "probability", 1.0, f"chains[{k}]", problems),
-                lag=(float(lag_raw[0]), float(lag_raw[1])),
+                lag=(_float(lag_raw[0]), _float(lag_raw[1])),
                 per_hour=_float_field(raw, "per_hour", 0.0, f"chains[{k}]", problems),
             )
         )
@@ -163,7 +188,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         problems.append("seed must be an integer")
         seed = 0
     spec = ScenarioSpec(
-        duration=float(duration),
+        duration=_float(duration),
         nodes=tuple(str(n) for n in nodes_raw),
         background=tuple(background),
         chains=tuple(chains),
@@ -176,6 +201,10 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
+    # Imported here, not at the top, so that generating a log from a
+    # spec does not load the ingest layer.
+    from .ingest import json_fault, read_text
+
     text = read_text(path)
     try:
         data = json.loads(text)
@@ -244,9 +273,30 @@ def generate(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
     return records, pairs
 
 
+_RECORD_KEYS = frozenset(("dim", "msg", "node", "ts"))
+
+
 def write_jsonl(rows: Iterable[Mapping[str, Any]], path: str | Path) -> None:
-    """One `json.dumps(row, sort_keys=True)` line per row, from one encoder."""
+    """One `json.dumps(row, sort_keys=True)` line per row.
+
+    A log record, the row `generate` makes, is rendered directly: a plain
+    dict of `dim`, `msg` and `node` strs and a finite float `ts`. Every
+    other row, a truth pair or an odd one, goes through one encoder.
+    """
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(row) + "\n" for row in rows)
+        fh.writelines(_lines(rows, encode))
+
+
+def _lines(rows: Iterable[Mapping[str, Any]], encode) -> Iterable[str]:
+    text, isfinite = encode_basestring_ascii, math.isfinite
+    for row in rows:
+        if type(row) is dict and row.keys() == _RECORD_KEYS:
+            dim, msg, node, ts = row["dim"], row["msg"], row["node"], row["ts"]
+            if (type(dim) is str and type(msg) is str and type(node) is str
+                    and type(ts) is float and isfinite(ts)):
+                yield (f'{{"dim": {text(dim)}, "msg": {text(msg)}, '
+                       f'"node": {text(node)}, "ts": {ts!r}}}\n')
+                continue
+        yield encode(row) + "\n"
 

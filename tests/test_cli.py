@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -473,6 +474,41 @@ class TestSynth:
         assert (data / "truth.jsonl").exists()
         first = json.loads((data / "log.jsonl").read_text().splitlines()[0])
         assert set(first) == {"ts", "node", "dim", "msg"}
+
+    @pytest.mark.parametrize("where, value, field", [
+        ((None, "duration"), math.inf, "duration"),
+        ((None, "duration"), math.nan, "duration"),
+        ((None, "duration"), 10**400, "duration"),
+        (("background", "rate"), math.inf, "background[0].rate"),
+        (("background", "rate"), math.nan, "background[0].rate"),
+        (("chains", "probability"), math.nan, "chains[0].probability"),
+        (("chains", "probability"), math.inf, "chains[0].probability"),
+        (("chains", "lag"), [0, math.inf], "chains[0].lag"),
+        (("chains", "lag"), [math.nan, 1], "chains[0].lag"),
+        (("chains", "per_hour"), math.inf, "chains[0].per_hour"),
+        (("chains", "per_hour"), math.nan, "chains[0].per_hour"),
+    ], ids=["duration-inf", "duration-nan", "duration-huge-int", "rate-inf", "rate-nan",
+            "probability-nan", "probability-inf", "lag-inf", "lag-nan", "per_hour-inf",
+            "per_hour-nan"])
+    def test_non_finite_number_is_3(self, tmp_path, where, value, field):
+        """`json.loads` takes `Infinity` and `NaN`; a scenario holding one
+        is refused with exit 3, where it once ran forever or wrote nothing.
+        Runs in a subprocess so that a hang fails at the timeout."""
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["background"] = [{"dim": "event", "msg": "heartbeat", "rate": 60}]
+        section, key = where
+        (scenario if section is None else scenario[section][0])[key] = value
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario), encoding="utf-8")
+        src = Path(logloom.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "logloom", "synth", "--scenario", str(bad),
+             "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (3, f"error: {field} must be finite\n")
+        assert not (tmp_path / "out" / "log.jsonl").exists()
 
 
 class TestPipeline:

@@ -41,28 +41,31 @@ CALLERS = sorted(
 )
 
 # The modules `import logloom` loaded when every layer was imported eagerly.
-LAYERS = ["episodes", "graphs", "ingest", "knowledge", "patterns", "pipeline", "preprocess",
-          "synth"]
+LAYERS = ["dims", "episodes", "graphs", "ingest", "knowledge", "patterns", "pipeline",
+          "preprocess", "synth"]
 
 _COLD_START = """
 import json, sys
 import logloom
 from logloom import generate, scenario_from_dict
 loaded = sorted(m for m in sys.modules if m == "logloom" or m.startswith("logloom."))
-print(json.dumps([loaded, logloom.pipeline.read_events.__module__]))
+print(json.dumps([loaded, "csv" in sys.modules, logloom.pipeline.read_events.__module__]))
 """
 
 
 class TestColdStart:
-    def test_generator_import_loads_only_synth_and_ingest(self):
+    def test_generator_import_loads_only_synth_and_dims(self):
         src = Path(logloom.__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", _COLD_START], env={**os.environ, "PYTHONPATH": path},
             check=True, capture_output=True, text=True, timeout=60,
         )
-        loaded, read_events_module = json.loads(proc.stdout)
-        assert loaded == ["logloom", "logloom.ingest", "logloom.synth"]
+        loaded, csv_loaded, read_events_module = json.loads(proc.stdout)
+        # The generator names a dimension from the leaf module; the ingest
+        # layer, and the `csv` module it brings, stay unloaded.
+        assert loaded == ["logloom", "logloom.dims", "logloom.synth"]
+        assert not csv_loaded
         # A layer not yet imported is still an attribute of the package.
         assert read_events_module == "logloom.pipeline"
 

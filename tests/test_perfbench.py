@@ -2,12 +2,54 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import logloom
+from _oracles import reference_write_jsonl
+from logloom import generate, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env() -> dict[str, str]:
+    src = Path(logloom.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+def _perfbench_gen() -> types.ModuleType:
+    """`perfbench/gen.py` as a module, run from its source, so that
+    nothing, not even a bytecode cache, is written under `perfbench/`."""
+    path = ROOT / "perfbench" / "gen.py"
+    module = types.ModuleType("_perfbench_gen")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["filtered", "sparse", "dense"])
+def test_benchmark_input_is_one_json_dumps_line_per_record(tmp_path, workload):
+    """Every benchmark digest starts from the log `perfbench/gen.py`
+    writes. Its bytes must be one `json.dumps(row, sort_keys=True)` line
+    per record that `generate` and then `gen.decorate` give, whichever
+    way `write_jsonl` renders a row."""
+    out = tmp_path / "log.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "gen.py"), workload, "10", str(out)],
+        env=_env(), cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    gen = _perfbench_gen()
+    records, _ = generate(scenario_from_dict(gen.scenario(workload, 10)))
+    if gen.SPEC["workloads"][workload]["decorate"]:
+        gen.decorate(records, 10)
+    reference_write_jsonl(records, tmp_path / "reference.jsonl")
+    assert out.read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    assert json.loads(proc.stdout) == {"lines": len(records)}
 
 
 def test_traced_job_finds_the_layer_calls(tmp_path):
@@ -17,13 +59,10 @@ def test_traced_job_finds_the_layer_calls(tmp_path):
     `build_window_graphs` calls. Dropping or splitting one of those calls
     fails here, as does a run that never calls the episode and pattern
     layers through their names."""
-    src = Path(logloom.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     out = tmp_path / "trace"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "worker.py"), "trace", "sparse", "10", str(out)],
-        env={**os.environ, "PYTHONPATH": path}, cwd=ROOT, capture_output=True, text=True,
-        timeout=120,
+        env=_env(), cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -229,11 +229,52 @@ ODD_ROWS = [TRUTH_ROW, {"ts": math.nan, "x": math.inf, "y": -math.inf, "n": None
                         "big": 2**70, "z": -0.0, "s": "ctl\x00\x85\u2028\U0001f680"}]
 
 
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+# Log records, the rows `write_jsonl` renders directly, and the near
+# misses it must hand to the encoder: a `ts` that is no finite float, a
+# str subclass, a key too many or too few, a dict subclass.
+RECORD_TEXT = st.one_of(
+    TEXT,
+    st.sampled_from(["\ud800", "lone \udfff end", "n\u00f6de\u2028x"]),
+    st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                          blacklist_categories=()), max_size=2),
+)
+RECORD_TS = st.one_of(
+    st.floats(), st.integers(), st.booleans(),
+    st.sampled_from([0, 7, True, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1e22]),
+)
+RECORD = st.fixed_dictionaries(
+    {"dim": RECORD_TEXT, "msg": RECORD_TEXT, "node": RECORD_TEXT, "ts": RECORD_TS}
+)
+RECORD_KEYS = st.sampled_from(["dim", "msg", "node", "ts"])
+NEAR_MISS = st.one_of(
+    st.builds(lambda r, k: {**r, k: _Str(r[k])}, RECORD, st.sampled_from(["dim", "msg", "node"])),
+    st.builds(lambda r, k, v: {**r, k: v}, RECORD, TEXT, VALUES),
+    st.builds(lambda r, k: {x: v for x, v in r.items() if x != k}, RECORD, RECORD_KEYS),
+    RECORD.map(_Dict),
+)
+GENERATED = {"dim": "event", "msg": "peer 10.0.0.1 at /var/run/x", "node": "n00", "ts": 1.5}
+
+
 class TestJsonlEqualsJsonDumps:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(rows=st.lists(st.dictionaries(TEXT, VALUES, max_size=5), max_size=5))
+    @given(rows=st.lists(
+        st.one_of(RECORD, NEAR_MISS, st.dictionaries(TEXT, VALUES, max_size=5)), max_size=6,
+    ))
     @example(rows=ODD_ROWS)
+    @example(rows=[{**GENERATED, "ts": ts} for ts in
+                   (1e16, 5e-324, -0.0, 2.5e-7, math.nan, math.inf, -math.inf, 3, True)])
+    @example(rows=[{**GENERATED, "msg": "\ud800 \u2028 \u00e9 \"q\" \\ \x00"},
+                   {**GENERATED, "node": _Str("n00")}, _Dict(GENERATED),
+                   {**GENERATED, "x": 1}, {"dim": "event", "msg": "m", "node": "n00"}])
     def test_bytes(self, tmp_path, rows):
         write_jsonl(rows, tmp_path / "new")
         reference_write_jsonl(rows, tmp_path / "ref")
