@@ -56,7 +56,7 @@ class SequenceRule:
         return (self.dim, self.rule_id)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RuleInstance:
     """One minimal occurrence of a rule; `anchor` is the completion time."""
 
@@ -66,28 +66,22 @@ class RuleInstance:
     span: tuple[float, float]
     node: str
 
+    def __init__(
+        self, rule_id: int, dim: Dimension, anchor: float, span: tuple[float, float], node: str
+    ) -> None:
+        _set_rule_id(self, rule_id)
+        _set_dim(self, dim)
+        _set_anchor(self, anchor)
+        _set_span(self, span)
+        _set_node(self, node)
 
-# A trusted constructor for `find_instances`, as in `ingest`: each slot is
-# set through its member descriptor, which skips the frozen `__setattr__`.
-_new = object.__new__
+
+# As in `ingest`, `__init__` sets each slot through its member descriptor.
 _set_rule_id = RuleInstance.rule_id.__set__
 _set_dim = RuleInstance.dim.__set__
 _set_anchor = RuleInstance.anchor.__set__
 _set_span = RuleInstance.span.__set__
 _set_node = RuleInstance.node.__set__
-
-
-def _rule_instance(
-    rule_id: int, dim: Dimension, anchor: float, span: tuple[float, float], node: str
-) -> RuleInstance:
-    """`RuleInstance(rule_id, dim, anchor, span, node)`."""
-    inst = _new(RuleInstance)
-    _set_rule_id(inst, rule_id)
-    _set_dim(inst, dim)
-    _set_anchor(inst, anchor)
-    _set_span(inst, span)
-    _set_node(inst, node)
-    return inst
 
 
 def _window_ticks(window: float, granularity: float) -> int:
@@ -295,7 +289,7 @@ def find_instances(
             found.append((s, e, node))
 
     return [
-        _rule_instance(rule.rule_id, rule.dim, e, (s, e), node)
+        RuleInstance(rule.rule_id, rule.dim, e, (s, e), node)
         for rule, found in zip(rules, minimal)
         for s, e, node in found
         if e - s <= window

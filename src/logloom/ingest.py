@@ -16,7 +16,7 @@ from typing import IO, Iterable, Iterator
 from .dims import _DIM_BY_VALUE, Dimension, dimension
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogRecord:
     """One raw log line: timestamp, emitting node, optional dimension, message."""
 
@@ -25,14 +25,18 @@ class LogRecord:
     dim: Dimension | None
     msg: str
 
-    def __post_init__(self) -> None:
-        if self.ts < 0:
+    def __init__(self, ts: float, node: str, dim: Dimension | None, msg: str) -> None:
+        if ts < 0:
             raise ValueError("ts must be >= 0")
-        if not self.node:
+        if not node:
             raise ValueError("node must be non-empty")
+        _set_record_ts(self, ts)
+        _set_record_node(self, node)
+        _set_record_dim(self, dim)
+        _set_record_msg(self, msg)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CanonicalEvent:
     """A record after template extraction; `count` tracks coalesced repeats."""
 
@@ -42,20 +46,26 @@ class CanonicalEvent:
     template: int
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
+    def __init__(
+        self, ts: float, node: str, dim: Dimension, template: int, count: int = 1
+    ) -> None:
+        if count < 1:
             raise ValueError("count must be >= 1")
+        _set_event_ts(self, ts)
+        _set_event_node(self, node)
+        _set_event_dim(self, dim)
+        _set_event_template(self, template)
+        _set_event_count(self, count)
 
     @property
     def sort_key(self) -> tuple[float, str, int, int]:
         return (self.ts, self.node, self.dim.rank, self.template)
 
 
-# Trusted constructors for fields their caller has already checked. They
-# set each slot through its member descriptor, which skips the frozen
-# `__setattr__` and `__post_init__`; the objects equal and hash as the
-# public constructors' do.
-_new = object.__new__
+# Records are built in bulk, so each `__init__` above runs its checks and
+# then sets each slot through its member descriptor, which skips the
+# frozen `__setattr__` a generated `__init__` calls. The descriptors are
+# read off the decorated classes, because `slots=True` returns a new class.
 _set_record_ts = LogRecord.ts.__set__
 _set_record_node = LogRecord.node.__set__
 _set_record_dim = LogRecord.dim.__set__
@@ -65,29 +75,6 @@ _set_event_node = CanonicalEvent.node.__set__
 _set_event_dim = CanonicalEvent.dim.__set__
 _set_event_template = CanonicalEvent.template.__set__
 _set_event_count = CanonicalEvent.count.__set__
-
-
-def _log_record(ts: float, node: str, dim: Dimension | None, msg: str) -> LogRecord:
-    """`LogRecord(ts, node, dim, msg)` for `ts >= 0` and a non-empty `node`."""
-    record = _new(LogRecord)
-    _set_record_ts(record, ts)
-    _set_record_node(record, node)
-    _set_record_dim(record, dim)
-    _set_record_msg(record, msg)
-    return record
-
-
-def _canonical_event(
-    ts: float, node: str, dim: Dimension, template: int, count: int
-) -> CanonicalEvent:
-    """`CanonicalEvent(ts, node, dim, template, count)` for `count >= 1`."""
-    event = _new(CanonicalEvent)
-    _set_event_ts(event, ts)
-    _set_event_node(event, node)
-    _set_event_dim(event, dim)
-    _set_event_template(event, template)
-    _set_event_count(event, count)
-    return event
 
 
 @dataclass(frozen=True)
@@ -375,12 +362,7 @@ def _parse_jsonl(stream, dim_default: Dimension | None) -> ParseResult:
                 and type(node) is str and node and type(msg) is str
                 and type(dim) is str and dim in dims
             ):
-                record = _new(LogRecord)
-                _set_record_ts(record, ts)
-                _set_record_node(record, nodes.setdefault(node, node))
-                _set_record_dim(record, dims[dim])
-                _set_record_msg(record, msg)
-                records.append(record)
+                records.append(LogRecord(ts, nodes.setdefault(node, node), dims[dim], msg))
                 continue
         try:
             obj = decode_json_line(text)
@@ -405,13 +387,27 @@ def _parse_csv(stream, dim_default: Dimension | None) -> ParseResult:
             continue
         lines.append(line.rstrip("\r\n"))
     reader = csv.DictReader(lines)
-    if reader.fieldnames is not None:
-        missing = {"ts", "node", "msg"} - set(reader.fieldnames)
+    try:
+        header = reader.fieldnames
+    except csv.Error as exc:
+        raise ParseError(f"csv header is unreadable: {exc}") from None
+    if header is not None:
+        missing = {"ts", "node", "msg"} - set(header)
         if missing:
             raise ParseError(f"csv header lacks required columns: {sorted(missing)}")
     records: list[LogRecord] = []
     nodes: dict[str, str] = {}
-    for row in reader:
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            # The reader goes on at the next line. `reader.line_num` is
+            # still the last good row's, so read the line from the parser.
+            line_no = reader.reader.line_num
+            rejects.append(RejectEntry(line_no, f"invalid CSV: {exc}", lines[line_no - 1]))
+            continue
         line_no = reader.line_num
         raw = ",".join(v for v in row.values() if isinstance(v, str))
         fields = {k: v for k, v in row.items() if k is not None and v is not None}
@@ -466,7 +462,7 @@ def _record_from_fields(
             dim = dimension(raw_dim)
         except ValueError:
             return None, f"unknown dimension: {raw_dim!r}"
-    return _log_record(float(ts), nodes.setdefault(node, node), dim, msg), ""
+    return LogRecord(float(ts), nodes.setdefault(node, node), dim, msg), ""
 
 
 _event_ts = attrgetter("ts")
@@ -522,13 +518,9 @@ def canonicalize(
         masked = _mask_messages([record.msg for record in kept])
         # one id_for per distinct text, in first-seen order
         tid = {text: id_for(text) for text in dict.fromkeys(masked)}
-        for record, text in zip(kept, masked):
-            event = _new(CanonicalEvent)
-            _set_event_ts(event, record.ts)
-            _set_event_node(event, record.node)
-            _set_event_dim(event, record.dim or dim_default)
-            _set_event_template(event, tid[text])
-            _set_event_count(event, 1)
-            events.append(event)
+        events += [
+            CanonicalEvent(record.ts, record.node, record.dim or dim_default, tid[text])
+            for record, text in zip(kept, masked)
+        ]
     _sort_events(events)
     return events, rejects

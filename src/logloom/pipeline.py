@@ -35,7 +35,6 @@ from .ingest import (
     CanonicalEvent,
     RejectEntry,
     TemplateTable,
-    _canonical_event,
     canonicalize,
     decode_json_line,
     json_fault,
@@ -408,7 +407,7 @@ def read_events(path: str | Path, templates: TemplateTable | None = None) -> lis
                 and type(count) is int and count >= 1
             ):
                 last_ts = ts
-                last = _canonical_event(ts, node, dims[dim], template, count)
+                last = CanonicalEvent(ts, node, dims[dim], template, count)
                 return last
         ev = CanonicalEvent(
             ts=_number(raw["ts"], "ts"),

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Sequence
 
-from .ingest import CanonicalEvent, _canonical_event
+from .ingest import CanonicalEvent
 
 
 @dataclass
@@ -45,7 +45,7 @@ def coalesce(events: Sequence[CanonicalEvent], gap: float) -> list[CanonicalEven
         idx = last_kept.get(key)
         if idx is not None and ev.ts - kept[idx].ts <= gap:
             rep = kept[idx]
-            kept[idx] = _canonical_event(
+            kept[idx] = CanonicalEvent(
                 rep.ts, rep.node, rep.dim, rep.template, rep.count + ev.count
             )
         else:

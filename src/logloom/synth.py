@@ -52,6 +52,13 @@ class CausalChain:
     per_hour: float
 
 
+# The most records a scenario may be expected to write. The largest
+# scenario in the tests, demos and benchmark writes about 50,000; a spec
+# past the cap would exhaust memory or, with a period too small for
+# `t += period` to advance, never end.
+_MAX_RECORDS = 10_000_000
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     duration: float  # seconds
@@ -84,6 +91,17 @@ class ScenarioSpec:
             for role, ev in (("trigger", chain.trigger), ("effect", chain.effect)):
                 if ev.node not in node_set:
                     problems.append(f"chains[{k}].{role} node {ev.node!r} is not in nodes")
+        if not problems:
+            # Background records are expected per node; a chain writes at
+            # most a trigger and an effect per period.
+            per_hour = len(self.nodes) * sum(src.rate for src in self.background)
+            per_hour += 2 * sum(chain.per_hour for chain in self.chains)
+            expected = self.duration * per_hour / 3600.0
+            if expected > _MAX_RECORDS:
+                problems.append(
+                    f"scenario would write about {expected:.3g} records,"
+                    f" more than the {_MAX_RECORDS:,} allowed"
+                )
         return problems
 
 

@@ -103,6 +103,19 @@ class TestExitCodes:
         assert main(["pipeline", "--input", str(log), "--out", str(tmp_path / "again")]) == 2
         assert "rejected 2 of 3" in capsys.readouterr().err
 
+    def test_csv_field_past_the_csv_limit_is_rejected(self, tmp_path, capsys):
+        """A CSV field over the `csv` module's size limit is one rejected
+        line, where it once was a traceback and exit 1."""
+        log = tmp_path / "log.csv"
+        long = "2,a,event," + "y" * 200_000
+        log.write_text(f"ts,node,dim,msg\n1,a,event,x\n{long}\n3,a,event,z\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--format", "csv", "--input", str(log), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "2 events, 2 templates, 1 rejects\n"
+        assert (out / "rejects.txt").read_text() == (
+            f"line 3: invalid CSV: field larger than field limit (131072): {long}\n"
+        )
+
     def test_unknown_config_key_is_3_and_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"wnidow": 120}')
@@ -508,6 +521,36 @@ class TestSynth:
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
         )
         assert (proc.returncode, proc.stderr) == (3, f"error: {field} must be finite\n")
+        assert not (tmp_path / "out" / "log.jsonl").exists()
+
+    @pytest.mark.parametrize("section, key, value, expected", [
+        ("chains", "per_hour", 1e300, "1e+300"),
+        (None, "duration", 1e300, "1.39e+298"),
+        ("background", "rate", 1e300, "1e+300"),
+    ], ids=["per_hour", "duration", "rate"])
+    def test_scenario_too_large_is_3(self, tmp_path, section, key, value, expected):
+        """A finite but huge number once made `generate` run until it was
+        killed; the spec is now refused before a record is made. Runs in a
+        subprocess under a timeout, its address space capped at 1 GiB so
+        that a hang fails on memory within the child."""
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["background"] = [{"dim": "event", "msg": "heartbeat", "rate": 1}]
+        (scenario if section is None else scenario[section][0])[key] = value
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario), encoding="utf-8")
+        src = Path(logloom.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+             " runpy.run_module('logloom', run_name='__main__')",
+             "synth", "--scenario", str(bad), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            3, f"error: scenario would write about {expected} records,"
+               " more than the 10,000,000 allowed\n",
+        )
         assert not (tmp_path / "out" / "log.jsonl").exists()
 
 

@@ -15,14 +15,16 @@ from logloom import (
     Dimension,
     LogRecord,
     ParseError,
+    RuleInstance,
     SchemaError,
     TemplateTable,
     canonicalize,
+    coalesce,
     mask_message,
     parse_lines,
 )
 from logloom import ingest
-from logloom.ingest import _CHUNK, _canonical_event, _log_record, decode_json_line
+from logloom.ingest import _CHUNK, decode_json_line
 from logloom.pipeline import read_events
 
 # Messages built from pieces at the edges of the four masks: hex runs
@@ -467,6 +469,21 @@ class TestParseCsv:
         result = parse_lines(stream, fmt="csv")
         assert len(result.records) == 1 and len(result.rejects) == 1
 
+    def test_field_past_the_csv_limit_is_a_reject(self):
+        """A field longer than `csv.field_size_limit()` is a rejected line
+        with its own line number; the rows after it still parse."""
+        long = "1,a,event," + "x" * 200_000
+        stream = io.StringIO(f"ts,node,dim,msg\n{long}\n2,b,ras,ecc\n3,c,event,ok\n")
+        result = parse_lines(stream, fmt="csv")
+        assert [(r.ts, r.msg) for r in result.records] == [(2.0, "ecc"), (3.0, "ok")]
+        assert [(r.line_no, r.reason, r.raw) for r in result.rejects] == [
+            (2, "invalid CSV: field larger than field limit (131072)", long)
+        ]
+
+    def test_header_past_the_csv_limit_is_fatal(self):
+        with pytest.raises(ParseError, match="^csv header is unreadable: field larger"):
+            parse_lines(io.StringIO("ts,node," + "m" * 200_000 + "\n1,a,x\n"), fmt="csv")
+
 
 class TestCanonicalize:
     def test_sorted_and_counted(self):
@@ -581,15 +598,81 @@ class TestCanonicalEvent:
             LogRecord(1.0, "", Dimension.EVENT, "x")
 
     def test_trusted_constructors_equal_public(self):
+        # The bulk paths, a JSON line the parser takes as it stands and a
+        # coalesced repeat, build what the constructors build by hand.
+        line = '{"dim": "ras", "msg": "x", "node": "a", "ts": 1.5}'
+        repeats = [CanonicalEvent(1.5, "a", Dimension.RAS, 3), CanonicalEvent(2.0, "a", Dimension.RAS, 3)]
         pairs = [
-            (_log_record(1.5, "a", None, "x"), LogRecord(1.5, "a", None, "x")),
-            (
-                _canonical_event(1.5, "a", Dimension.RAS, 3, 2),
-                CanonicalEvent(1.5, "a", Dimension.RAS, 3, count=2),
-            ),
+            (parse_lines(io.StringIO(line)).records[0], LogRecord(1.5, "a", Dimension.RAS, "x")),
+            (coalesce(repeats, 1.0)[0], CanonicalEvent(1.5, "a", Dimension.RAS, 3, count=2)),
         ]
         for trusted, public in pairs:
             assert trusted == public
             assert hash(trusted) == hash(public)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 trusted.ts = 2.0
+
+
+# One object of each class built in bulk: its fields in order and its repr.
+_BULK_RECORDS = [
+    (LogRecord, (1.5, "a", Dimension.RAS, "x"),
+     "LogRecord(ts=1.5, node='a', dim=<Dimension.RAS: 'ras'>, msg='x')"),
+    (CanonicalEvent, (1.5, "a", Dimension.RAS, 3, 2),
+     "CanonicalEvent(ts=1.5, node='a', dim=<Dimension.RAS: 'ras'>, template=3, count=2)"),
+    (RuleInstance, (7, Dimension.COMM, 2.5, (1.0, 2.5), "n"),
+     "RuleInstance(rule_id=7, dim=<Dimension.COMM: 'comm'>, anchor=2.5, span=(1.0, 2.5),"
+     " node='n')"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, text", _BULK_RECORDS, ids=["LogRecord", "CanonicalEvent", "RuleInstance"]
+)
+class TestRecordConstructor:
+    """Each class's own `__init__` keeps the dataclass contract: fields,
+    equality, hashing, repr, `replace`, frozen slots."""
+
+    def test_positional_equals_keyword(self, cls, args, text):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        positional, keyword = cls(*args), cls(**dict(zip(names, args)))
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert cls.__match_args__ == names
+
+    def test_repr(self, cls, args, text):
+        assert repr(cls(*args)) == text
+
+    def test_replace_gives_what_the_constructor_gives(self, cls, args, text):
+        names = [f.name for f in dataclasses.fields(cls)]
+        obj = cls(*args)
+        changed = dataclasses.replace(obj, node="b")
+        assert changed == cls(**{**dict(zip(names, args)), "node": "b"})
+        assert type(changed) is cls and dataclasses.replace(obj) == obj
+
+    def test_frozen_slots(self, cls, args, text):
+        obj = cls(*args)
+        assert not hasattr(obj, "__dict__")
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+
+
+class TestRecordChecks:
+    def test_count_defaults_to_one(self):
+        event = CanonicalEvent(1.5, "a", Dimension.RAS, 3)
+        assert event.count == 1
+        assert event == CanonicalEvent(1.5, "a", Dimension.RAS, 3, 1)
+        assert dataclasses.fields(CanonicalEvent)[-1].default == 1
+
+    def test_replace_reruns_the_checks(self):
+        record = LogRecord(1.5, "a", Dimension.RAS, "x")
+        event = CanonicalEvent(1.5, "a", Dimension.RAS, 3)
+        for obj, change, message in [
+            (event, {"count": 0}, "count must be >= 1"),
+            (record, {"ts": -1.0}, "ts must be >= 0"),
+            (record, {"node": ""}, "node must be non-empty"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                dataclasses.replace(obj, **change)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                type(obj)(**{**dataclasses.asdict(obj), **change})

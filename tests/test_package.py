@@ -110,3 +110,16 @@ class TestExports:
                 elif isinstance(node, ast.alias):
                     used.add(node.name)
         assert [name for name in logloom.__all__ if name not in used] == []
+
+    def test_no_module_makes_an_object_past_its_constructor(self):
+        # Every record is made by calling its class, whose `__init__` runs
+        # the class's checks. `object.__new__`, called or bound to a name,
+        # would make one that skips them.
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((ROOT / "src" / "logloom").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ]
+        assert found == []
