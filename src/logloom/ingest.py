@@ -490,14 +490,13 @@ def _sort_events(events: list[CanonicalEvent]) -> None:
 
 
 def canonicalize(
-    records: Iterable[LogRecord],
-    table: TemplateTable,
-    dim_default: Dimension | None = None,
+    records: Iterable[LogRecord], table: TemplateTable
 ) -> tuple[list[CanonicalEvent], list[RejectEntry]]:
     """Assign templates and produce the globally sorted canonical stream.
 
-    Records still lacking a dimension after `dim_default` are rejected;
-    rejected records do not claim template ids. The sort key
+    Records without a dimension are rejected, numbered by their 1-based
+    position in `records`, not by file line; they claim no template
+    ids. `parse_lines` applies the default dimension. The sort key
     (ts, node, dim, template) is a total order, so the output is
     independent of input order.
     """
@@ -507,7 +506,7 @@ def canonicalize(
     records = iter(records)
     pos = 0
     while chunk := list(islice(records, _CHUNK)):
-        kept = chunk if dim_default is not None else [r for r in chunk if r.dim is not None]
+        kept = [r for r in chunk if r.dim is not None]
         if len(kept) < len(chunk):
             rejects += [
                 RejectEntry(pos + i, "record has no dimension", record.msg)
@@ -519,7 +518,7 @@ def canonicalize(
         # one id_for per distinct text, in first-seen order
         tid = {text: id_for(text) for text in dict.fromkeys(masked)}
         events += [
-            CanonicalEvent(record.ts, record.node, record.dim or dim_default, tid[text])
+            CanonicalEvent(record.ts, record.node, record.dim, tid[text])
             for record, text in zip(kept, masked)
         ]
     _sort_events(events)

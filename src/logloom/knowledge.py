@@ -7,7 +7,7 @@ The base's file form, `kb.json` and `rules.json`, is read and written in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .dims import Dimension
 from .episodes import SequenceRule
@@ -24,23 +24,6 @@ class KnowledgeBase:
     rules: dict[Label, SequenceRule]
     templates: TemplateTable
     metadata: dict[str, Any]
-
-    @classmethod
-    def new(
-        cls,
-        rules: Iterable[SequenceRule] = (),
-        templates: TemplateTable | None = None,
-        metadata: Mapping[str, Any] | None = None,
-    ) -> "KnowledgeBase":
-        meta: dict[str, Any] = {"config_digest": None, "created": None}
-        if metadata:
-            meta.update(metadata)
-        return cls(
-            patterns={},
-            rules={rule.label: rule for rule in rules},
-            templates=templates if templates is not None else TemplateTable(),
-            metadata=meta,
-        )
 
 
 @dataclass
@@ -103,7 +86,6 @@ class QueryResult:
     pattern: FailurePattern
     score: float
     antecedent: Digraph
-    antecedent_weights: tuple[float, ...]
 
 
 def query_root_causes(
@@ -157,13 +139,11 @@ def query_root_causes(
             incident = [el for u, v, el in g.edges if c in (u, v)]
             if any(el != node_scope for el in incident):
                 continue
-        weights = tuple(w for i, w in enumerate(p.node_weights) if i != c)
         results.append(
             QueryResult(
                 pattern=p,
                 score=p.knowledge_confidence * p.support,
                 antecedent=remove_node(g, c),
-                antecedent_weights=weights,
             )
         )
     results.sort(key=lambda r: (-r.score, -r.pattern.graph.n, r.pattern.code))

@@ -553,9 +553,8 @@ def knowledge_confidence(
 def pattern_to_dot(pattern: FailurePattern, name: str = "pattern") -> str:
     """Render a pattern in DOT form; node names are dim:rule_id pairs."""
     lines = [f"digraph {name} {{"]
-    for idx, label in enumerate(pattern.graph.labels):
-        dim, rid = label
-        text = f"{getattr(dim, 'value', dim)}:{rid}"
+    for idx, (dim, rid) in enumerate(pattern.graph.labels):
+        text = f"{dim.value}:{rid}"
         weight = pattern.node_weights[idx]
         lines.append(f'  n{idx} [label="{text}\\nw={weight:.4f}"];')
     for u, v, el in sorted(pattern.graph.edges):

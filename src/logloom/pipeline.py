@@ -530,19 +530,23 @@ _EXPERT_DEFAULTS: dict[str, Any] = {
 _SCORES = ("knowledge_confidence", "support", "weighted_support", "structural_confidence")
 
 
-def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
+def _pattern_from_doc(entry: Any, k: int, tag: str | None) -> FailurePattern:
     """Build a pattern from the document entry at `$.patterns[k]`.
 
-    `strict` (full documents) requires every score and a non-empty
-    provenance; otherwise (expert documents) only knowledge_confidence
-    is mandatory and the fields in `_EXPERT_DEFAULTS` take their default.
+    With no `tag` (full documents) every score and a non-empty provenance
+    are required; otherwise (expert documents) only knowledge_confidence
+    is mandatory, the fields in `_EXPERT_DEFAULTS` take their default and
+    the provenance gains `tag`. A window holds one node per label, so a
+    pattern whose label repeats is refused.
     """
+    strict = tag is None
     if not isinstance(entry, dict):
         raise SchemaError(f"$.patterns[{k}]", "must be an object")
     nodes = entry.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise SchemaError(f"$.patterns[{k}].nodes", "must be a non-empty array")
     labels: dict[int, Label] = {}
+    seen: set[Label] = set()
     weights: dict[int, float] = {}
     for i, raw in enumerate(nodes):
         if not isinstance(raw, list) or len(raw) != 4:
@@ -555,7 +559,10 @@ def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
         dim = _dimension(dim, "$.patterns[{}].nodes[{}]", k, i)
         if not (_is_int(rid) and rid >= 0):
             raise SchemaError(f"$.patterns[{k}].nodes[{i}]", "rule_id must be a non-negative integer")
-        labels[index] = (dim, rid)
+        label = labels[index] = (dim, rid)
+        if label in seen:
+            raise SchemaError(f"$.patterns[{k}].nodes[{i}]", f"repeated label {label_text(label)}")
+        seen.add(label)
         weights[index] = _fraction(weight, "$.patterns[{}].nodes[{}].weight", k, i)
     if set(labels) != set(range(len(nodes))):
         raise SchemaError(f"$.patterns[{k}].nodes", "indexes must cover 0..n-1")
@@ -604,7 +611,7 @@ def _pattern_from_doc(entry: Any, k: int, strict: bool) -> FailurePattern:
             weighted_support=ws,
             structural_confidence=sc,
             knowledge_confidence=kc,
-            provenance=frozenset(provenance),
+            provenance=frozenset(provenance + [tag] if tag else provenance),
         )
     except ValueError as exc:
         raise SchemaError(f"$.patterns[{k}]", str(exc)) from None
@@ -694,7 +701,7 @@ def load(doc: str | Mapping[str, Any]) -> KnowledgeBase:
         raise SchemaError("$.patterns", "must be an array")
     kb = KnowledgeBase(patterns={}, rules=rules, templates=templates, metadata=dict(metadata))
     for k, raw in enumerate(patterns_raw):
-        p = _pattern_from_doc(raw, k, strict=True)
+        p = _pattern_from_doc(raw, k, None)
         for label in p.graph.labels:
             if label not in rules:
                 raise SchemaError(f"$.patterns[{k}]", f"label {label_text(label)} has no rule")
@@ -722,19 +729,14 @@ def import_expert(doc: str | Mapping[str, Any]) -> list[FailurePattern]:
     if not isinstance(patterns_raw, list):
         raise SchemaError("$.patterns", "must be an array")
     tag = f"expert:{source}"
-    out: list[FailurePattern] = []
-    for k, raw in enumerate(patterns_raw):
-        p = _pattern_from_doc(raw, k, strict=False)
-        out.append(replace(p, provenance=p.provenance | {tag}))
-    return out
+    return [_pattern_from_doc(raw, k, tag) for k, raw in enumerate(patterns_raw)]
 
 
 def rules_doc(
     rules: Sequence[SequenceRule], table: TemplateTable, cfg: PipelineConfig
 ) -> KnowledgeBase:
-    return KnowledgeBase.new(
-        rules, table, {"config_digest": config_digest(cfg), "created": None}
-    )
+    metadata = {"config_digest": config_digest(cfg), "created": None}
+    return KnowledgeBase({}, {rule.label: rule for rule in rules}, table, metadata)
 
 
 def read_rules_doc(path: str | Path) -> KnowledgeBase:
@@ -899,24 +901,6 @@ def read_graphs(
 # their name in this module, so the benchmark's traced run can wrap them.
 
 
-def mine_rules_stage(
-    cfg: PipelineConfig, events: Sequence[CanonicalEvent]
-) -> tuple[list[SequenceRule], list[RuleInstance]]:
-    """Mine each dimension independently; merge in dimension order."""
-    rules: list[SequenceRule] = []
-    instances: list[RuleInstance] = []
-    for dim in sorted({e.dim for e in events}, key=lambda d: d.rank):
-        dim_events = [e for e in events if e.dim == dim]
-        episodes = mine_episodes(
-            dim_events, cfg.window, cfg.min_sup, cfg.k_max, cfg.granularity
-        )
-        dim_rules = derive_rules(episodes, cfg.min_conf)
-        rules.extend(dim_rules)
-        instances.extend(find_instances(dim_rules, dim_events, cfg.window))
-    instances.sort(key=lambda i: (i.anchor, i.dim.rank, i.rule_id, i.node))
-    return rules, instances
-
-
 def patterns_stage(
     cfg: PipelineConfig,
     graphs: Sequence[WindowGraph],
@@ -970,9 +954,22 @@ def _preprocess(cfg: PipelineConfig, v: dict[str, Any]) -> str:
 
 
 def _mine_rules(cfg: PipelineConfig, v: dict[str, Any]) -> str:
-    rules, v["instances"] = mine_rules_stage(cfg, v["events"])
+    """Mine each dimension independently; merge in dimension order."""
+    events = v["events"]
+    rules: list[SequenceRule] = []
+    instances: list[RuleInstance] = []
+    for dim in sorted({e.dim for e in events}, key=lambda d: d.rank):
+        dim_events = [e for e in events if e.dim == dim]
+        episodes = mine_episodes(
+            dim_events, cfg.window, cfg.min_sup, cfg.k_max, cfg.granularity
+        )
+        dim_rules = derive_rules(episodes, cfg.min_conf)
+        rules.extend(dim_rules)
+        instances.extend(find_instances(dim_rules, dim_events, cfg.window))
+    instances.sort(key=lambda i: (i.anchor, i.dim.rank, i.rule_id, i.node))
+    v["instances"] = instances
     v["rules"] = rules_doc(rules, v["templates"], cfg)
-    return f"{len(rules)} rules, {len(v['instances'])} instances\n"
+    return f"{len(rules)} rules, {len(instances)} instances\n"
 
 
 def _build_graphs(cfg: PipelineConfig, v: dict[str, Any]) -> str:
@@ -1069,10 +1066,10 @@ class PipelineResult:
     rejects: int
 
 
-def _top_rules(rules: Sequence[SequenceRule], table: TemplateTable, limit: int = 10) -> list[str]:
+def _top_rules(rules: Sequence[SequenceRule], table: TemplateTable) -> list[str]:
     ranked = sorted(rules, key=lambda r: (-r.support, r.dim.rank, r.rule_id))
     lines = []
-    for r in ranked[:limit]:
+    for r in ranked[:10]:
         seq = " -> ".join(table.masked_for(t) for t in r.full_labels)
         lines.append(
             f"  {label_text(r.label)} sup={r.support:.4f} conf={r.confidence:.4f} {seq}"
@@ -1080,13 +1077,13 @@ def _top_rules(rules: Sequence[SequenceRule], table: TemplateTable, limit: int =
     return lines
 
 
-def _top_patterns(patterns: Sequence[FailurePattern], limit: int = 10) -> list[str]:
+def _top_patterns(patterns: Sequence[FailurePattern]) -> list[str]:
     ranked = sorted(
         patterns,
         key=lambda p: (-p.knowledge_confidence * p.support, -p.graph.n, p.code),
     )
     lines = []
-    for p in ranked[:limit]:
+    for p in ranked[:10]:
         nodes = ", ".join(map(label_text, p.graph.labels))
         lines.append(
             f"  [{nodes}] sup={p.support:.4f} ws={p.weighted_support:.4f} "

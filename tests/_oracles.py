@@ -134,18 +134,17 @@ def reference_mask(msg: str) -> str:
 
 
 def reference_canonicalize(
-    records: Iterable[LogRecord], table: TemplateTable, dim_default: Dimension | None = None
+    records: Iterable[LogRecord], table: TemplateTable
 ) -> tuple[list[CanonicalEvent], list[RejectEntry]]:
     """Mask and register each record in turn, then sort the events."""
     events: list[CanonicalEvent] = []
     rejects: list[RejectEntry] = []
     for pos, record in enumerate(records, start=1):
-        dim = record.dim if record.dim is not None else dim_default
-        if dim is None:
+        if record.dim is None:
             rejects.append(RejectEntry(pos, "record has no dimension", record.msg))
             continue
         tid = table.id_for(reference_mask(record.msg))
-        events.append(CanonicalEvent(record.ts, record.node, dim, tid))
+        events.append(CanonicalEvent(record.ts, record.node, record.dim, tid))
     events.sort(key=lambda e: e.sort_key)
     return events, rejects
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,36 @@ class TestExitCodes:
         kb.write_text(json.dumps(doc))
         assert main(["query", "--kb", str(kb), "--target", "status:0"]) == 3
         assert "duplicate pattern" in capsys.readouterr().err
+
+    def test_kb_pattern_with_a_repeated_label_is_3_at_once(self, workdir, tmp_path, capsys):
+        # a window holds one node per label; canonicalizing this star by
+        # minimum DFS codes would take seconds
+        doc = json.loads((workdir / "run" / "kb.json").read_text())
+        hub, leaf = ([r["dim"], r["rule_id"]] for r in doc["rules"][:2])
+        star = dict(doc["patterns"][0], nodes=[[0, *hub, 1.0]] + [[j, *leaf, 1.0] for j in range(1, 10)],
+                    edges=[[0, j, "cross"] for j in range(1, 10)])
+        doc["patterns"].append(star)
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["query", "--kb", str(kb), "--target", "status:0"]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"$.patterns[{len(doc['patterns']) - 1}].nodes[2]" in err
+        assert f"repeated label {leaf[0]}:{leaf[1]}" in err
+
+    def test_expert_pattern_with_a_repeated_label_is_3_at_once(self, workdir, tmp_path, capsys):
+        expert = tmp_path / "star.json"
+        expert.write_text(json.dumps({"patterns": [{
+            "nodes": [[0, "event", 0, 1.0]] + [[j, "ras", 1, 1.0] for j in range(1, 10)],
+            "edges": [[0, j, "cross"] for j in range(1, 10)],
+            "knowledge_confidence": 0.5,
+        }]}))
+        start = time.perf_counter()
+        assert main(["merge", "--kb", str(workdir / "run" / "kb.json"), "--incoming", str(expert),
+                     "--expert", "--out", str(tmp_path / "m")]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "$.patterns[0].nodes[2]: repeated label ras:1" in capsys.readouterr().err
 
     def test_repeated_template_in_templates_file_is_2(self, workdir, tmp_path, capsys):
         lines = (workdir / "run" / "templates.tsv").read_text().splitlines(keepends=True)

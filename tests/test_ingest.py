@@ -523,11 +523,6 @@ class TestCanonicalize:
         assert table.get("only here") is None
         assert len(table) == 1
 
-    def test_dim_default_applies(self):
-        records = [LogRecord(1.0, "a", None, "x")]
-        events, rejects = canonicalize(records, TemplateTable(), dim_default=Dimension.RAS)
-        assert not rejects and events[0].dim is Dimension.RAS
-
     def test_input_order_irrelevant(self):
         records = [
             LogRecord(float(ts), node, Dimension.EVENT, msg)
@@ -551,15 +546,14 @@ class TestCanonicalizeChunks:
     @given(
         st.lists(st.tuples(_POSITIONS, _RECORDS), max_size=12),
         st.integers(_CHUNK + 1, 2 * _CHUNK + 8),
-        st.none() | st.sampled_from(Dimension),
     )
     # a chunk that ends in "" and holds a message str.splitlines splits
     @example(
-        [(_CHUNK - 2, LogRecord(0.0, "a", None, "x\x1cy")), (_CHUNK - 1, LogRecord(0.0, "a", None, ""))],
+        [(_CHUNK - 2, LogRecord(0.0, "a", Dimension.COMM, "x\x1cy")),
+         (_CHUNK - 1, LogRecord(0.0, "a", Dimension.COMM, ""))],
         _CHUNK + 1,
-        Dimension.COMM,
     )
-    def test_equals_reference(self, placed, n, dim_default):
+    def test_equals_reference(self, placed, n):
         words = ["boot", "disk 7 full", "fan /dev/x", "link 10.0.0.1 down", "decade"]
         records = [
             LogRecord(float(i % 11), "n", Dimension.EVENT, f"{words[i % 5]} {i}") for i in range(n)
@@ -567,8 +561,8 @@ class TestCanonicalizeChunks:
         for pos, record in placed:
             records[pos % n] = record
         table, ref_table = TemplateTable(), TemplateTable()
-        got = canonicalize(records, table, dim_default)
-        assert got == reference_canonicalize(records, ref_table, dim_default)
+        got = canonicalize(records, table)
+        assert got == reference_canonicalize(records, ref_table)
         assert list(table) == list(ref_table)
 
     def test_masks_a_chunk_per_chain_pass(self, monkeypatch):
