@@ -51,21 +51,13 @@ class Digraph:
         return len(self.labels)
 
 
-def _adjacency(g: Digraph) -> list[list[tuple[int, int, Hashable]]]:
-    """Per vertex: (neighbor, direction as seen from the vertex, edge label)."""
-    adj: list[list[tuple[int, int, Hashable]]] = [[] for _ in range(g.n)]
+def _adjacency(g: Digraph) -> list[dict[int, tuple[int, Hashable]]]:
+    """Per vertex: neighbor -> (direction as seen from the vertex, edge label)."""
+    adj: list[dict[int, tuple[int, Hashable]]] = [{} for _ in range(g.n)]
     for u, v, el in g.edges:
-        adj[u].append((v, 0, el))
-        adj[v].append((u, 1, el))
+        adj[u][v] = (0, el)
+        adj[v][u] = (1, el)
     return adj
-
-
-def _arc_map(g: Digraph) -> dict[tuple[int, int], tuple[int, Hashable]]:
-    arcs: dict[tuple[int, int], tuple[int, Hashable]] = {}
-    for u, v, el in g.edges:
-        arcs[(u, v)] = (0, el)
-        arcs[(v, u)] = (1, el)
-    return arcs
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
@@ -87,7 +79,7 @@ def _step_key(entry: CodeEntry):
 
 def _extensions(
     g: Digraph,
-    adj: list[list[tuple[int, int, Hashable]]],
+    adj: list[dict[int, tuple[int, Hashable]]],
     order: tuple[int, ...],
     rmpath: list[int],
     used: set[tuple[int, int]],
@@ -99,7 +91,7 @@ def _extensions(
     last = len(order) - 1
     r = order[last]
     backward: list[tuple[int, int, Hashable, int]] = []
-    for w, d, el in adj[r]:
+    for w, (d, el) in adj[r].items():
         j = pos.get(w)
         if j is None or (j, last) in used:
             continue
@@ -114,7 +106,7 @@ def _extensions(
     return [
         ((i, last + 1, g.labels[order[i]], d, el, g.labels[w]), order + (w,))
         for i in rmpath
-        for w, d, el in adj[order[i]]
+        for w, (d, el) in adj[order[i]].items()
         if w not in pos
     ]
 
@@ -142,7 +134,7 @@ def _min_code_with_order(g: Digraph) -> tuple[DfsCode, tuple[int, ...]]:
     seen = {0}
     stack = [0]
     while stack:
-        for w, _, _ in adj[stack.pop()]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -184,68 +176,6 @@ def _code_to_graph(code: DfsCode, labels: Sequence[Hashable]) -> Digraph:
             continue
         edges.add((i, j, el) if d == 0 else (j, i, el))
     return Digraph(tuple(labels), frozenset(edges))
-
-
-def _is_min_code(code: DfsCode, labels: Sequence[Hashable]) -> bool:
-    """Whether `code`, with vertex labels `labels`, is the minimum DFS
-    code of the connected graph it spells. The empty code of a single
-    vertex is.
-
-    A code with repeated labels goes through `min_dfs_code`. With distinct
-    labels, every step of the lockstep search has one winner, so the
-    minimum code is the one greedy traversal that starts at the least
-    label and takes the `_step_key`-least extension at each step. While
-    the code agrees with that traversal, discovery indices are the code's
-    own vertex indices, so the traversal is replayed on the code itself
-    and stops at the first entry that differs.
-    """
-    if len(set(labels)) < len(labels):
-        return min_dfs_code(_code_to_graph(code, labels)) == code
-    if labels[0] != min(labels):
-        return False
-    adj: list[list[tuple[int, int, Hashable]]] = [[] for _ in labels]
-    for i, j, _, d, el, _ in code:
-        adj[i].append((j, d, el))
-        adj[j].append((i, 1 - d, el))
-    used: set[tuple[int, int]] = set()
-    rmpath = [0]
-    for entry in code:
-        r = rmpath[-1]
-        backward = [(w, d, el) for w, d, el in adj[r] if w < r and (w, r) not in used]
-        if backward:
-            w, d, el = min(backward)
-            if entry != (r, w, labels[r], d, el, labels[w]):
-                return False
-            used.add((w, r))
-            continue
-        # the deepest rightmost-path vertex with an undiscovered neighbor
-        for depth in range(len(rmpath) - 1, -1, -1):
-            x = rmpath[depth]
-            forward = [(d, el, labels[w]) for w, d, el in adj[x] if w > r]
-            if forward:
-                break
-        else:
-            return False
-        d, el, lw = min(forward)
-        if entry != (x, r + 1, labels[x], d, el, lw):
-            return False
-        used.add((x, r + 1))
-        del rmpath[depth + 1 :]
-        rmpath.append(r + 1)
-    return True
-
-
-def _rmpath_indices(code: DfsCode) -> list[int]:
-    """Discovery indices on the rightmost path, root first."""
-    rm: list[int] = []
-    cur: int | None = None
-    for i, j, *_ in reversed(code):
-        if i < j and (cur is None or j == cur):
-            rm.append(j)
-            cur = i
-    rm.append(0)
-    rm.reverse()
-    return rm
 
 
 @dataclass(frozen=True)
@@ -370,12 +300,19 @@ def mine_patterns(
 
     Before the search, each host drops the arcs whose label triple is
     below `ws_min` support (see `_frequent_hosts`); no frequent pattern
-    uses one. A grown code with distinct labels is tested for minimality
-    by replaying the one greedy traversal it must follow; a code with
-    repeated labels is compared with `min_dfs_code` (see `_is_min_code`).
-    Children that cannot be minimal are not built: those that put a
-    lesser label after the first, and those whose new arc sorts below
-    the tree arc its rightmost-path vertex took.
+    uses one. A child is its minimal parent's code plus one entry, and
+    a child is built only if: a new vertex's label does not sort below
+    the first label; an arc that a rightmost-path vertex gains, forward
+    or as the reverse of a backward arc, does not sort below the tree
+    arc it took down the rightmost path (its largest, as it takes them
+    in ascending order); the rightmost vertex's backward arcs go to
+    ascending targets. Each cut drops only codes another traversal of
+    the same graph beats. With distinct labels the minimum code is the
+    one greedy traversal from the least label, and the new entry is
+    the one extension the parent's traversal did not have; it never
+    beats the parent's choices exactly when the three rules hold, so
+    they decide minimality. Only a code with repeated labels is also
+    compared with `min_dfs_code`.
     """
     if not graphs:
         raise ValueError("graph database is empty")
@@ -387,7 +324,6 @@ def mine_patterns(
     hosts = _frequent_hosts(graphs, ws_min)
     total = len(hosts)
     adjs = [_adjacency(h) for h in hosts]
-    arcs = [_arc_map(h) for h in hosts]
     found: list[FailurePattern] = []
 
     starts: dict[Hashable, list[tuple[int, tuple[int, ...]]]] = {}
@@ -395,15 +331,26 @@ def mine_patterns(
         for v, label in enumerate(h.labels):
             starts.setdefault(label, []).append((gid, (v,)))
     rank = {label: k for k, label in enumerate(sorted(starts))}
-    # A code is only minimal if its first label is its least, so no forward
-    # extension that puts a lesser label after the first is built.
     ranks = [[rank[label] for label in h.labels] for h in hosts]
 
-    def grow(code: DfsCode, labels: list[Hashable], embeddings: list[tuple]) -> None:
+    def grow(
+        code: DfsCode,
+        labels: list[Hashable],
+        embeddings: list[tuple],
+        rmpath: tuple[int, ...],
+        floors: tuple[tuple, ...],
+        last_back: int,
+    ) -> None:
+        """`rmpath` is the code's rightmost path, root first; `floors[k]`
+        is the tree arc rmpath[k] took to rmpath[k + 1], as (direction,
+        edge label, rank of the label reached), and () for the rightmost
+        vertex, which has none and below which every arc sorts;
+        `last_back` is the target of the rightmost vertex's last backward
+        entry, or -1 when it has none."""
         support = len({gid for gid, _ in embeddings}) / total
         if support < ws_min:
             return
-        if not _is_min_code(code, labels):
+        if len(set(labels)) < len(labels) and min_dfs_code(_code_to_graph(code, labels)) != code:
             return
         node_weights = tuple(label_weights[label] for label in labels)
         # `statistics.fmean`, without importing `statistics` (and with it
@@ -421,31 +368,24 @@ def mine_patterns(
             )
 
         maxtoc = len(labels) - 1
-        rmpath = _rmpath_indices(code)
         least = rank[labels[0]]
         r_rank = rank[labels[maxtoc]]
-        # Each rightmost-path vertex's tree arc to the next one was its least
-        # extension when taken. A new arc from that vertex, forward or as
-        # the reverse of a backward one, that sorts below it would have been
-        # taken first, so no child with such an arc is minimal.
-        tree = {(i, j): (d, el, rank[lj]) for i, j, _, d, el, lj in code if i < j}
-        floors = {x: tree[(x, y)] for x, y in zip(rmpath, rmpath[1:])}
-        # Used arcs are code entries, so a backward arc is new to every
-        # embedding or to none; a forward arc reaches an unmapped vertex.
-        used = {_pair(i, j) for i, j, *_ in code}
-        backward = [a for a in rmpath[:-1] if (a, maxtoc) not in used]
+        # The rightmost vertex's tree parent is joined already; it takes
+        # backward arcs to the other rightmost-path vertices in ascending
+        # order, so those up to `last_back` are used or would come too late.
+        backward = [(a, floor) for a, floor in zip(rmpath[:-2], floors) if a > last_back]
         forward = len(labels) < p_max
         children: dict[CodeEntry, list[tuple[int, tuple[int, ...]]]] = {}
         for embedding in embeddings:
             gid, vmap = embedding
-            host_arcs = arcs[gid]
-            r_host = vmap[maxtoc]
-            for a_idx in backward:
-                arc = host_arcs.get((r_host, vmap[a_idx]))
+            adj = adjs[gid]
+            r_arcs = adj[vmap[maxtoc]]
+            for a_idx, floor in backward:
+                arc = r_arcs.get(vmap[a_idx])
                 if arc is None:
                     continue
                 d, el = arc
-                if (1 - d, el, r_rank) < floors[a_idx]:
+                if (1 - d, el, r_rank) < floor:
                     continue
                 entry = (maxtoc, a_idx, labels[maxtoc], d, el, labels[a_idx])
                 children.setdefault(entry, []).append(embedding)
@@ -453,22 +393,31 @@ def mine_patterns(
                 continue
             mapped = set(vmap)
             host_labels, host_ranks = hosts[gid].labels, ranks[gid]
-            for x_idx in rmpath:
-                x_host = vmap[x_idx]
-                floor = floors.get(x_idx)
-                for w, d, el in adjs[gid][x_host]:
+            for x_idx, floor in zip(rmpath, floors):
+                for w, (d, el) in adj[vmap[x_idx]].items():
                     if w in mapped or host_ranks[w] < least:
                         continue
-                    if floor is not None and (d, el, host_ranks[w]) < floor:
+                    if (d, el, host_ranks[w]) < floor:
                         continue
                     entry = (x_idx, maxtoc + 1, labels[x_idx], d, el, host_labels[w])
                     children.setdefault(entry, []).append((gid, vmap + (w,)))
         for entry in sorted(children, key=_step_key):
-            grown = labels if entry[0] > entry[1] else labels + [entry[5]]
-            grow(code + (entry,), grown, children[entry])
+            i, j, _, d, el, lj = entry
+            if i > j:
+                grow(code + (entry,), labels, children[entry], rmpath, floors, j)
+                continue
+            k = rmpath.index(i)
+            grow(
+                code + (entry,),
+                labels + [lj],
+                children[entry],
+                rmpath[: k + 1] + (j,),
+                floors[:k] + ((d, el, rank[lj]), ()),
+                -1,
+            )
 
     for label, embeddings in starts.items():
-        grow((), [label], embeddings)
+        grow((), [label], embeddings, (0,), ((),), -1)
 
     found.sort(key=lambda p: p.code)
     return found

@@ -43,7 +43,7 @@ from logloom import (
     WindowGraph,
 )
 from logloom.episodes import _completions, _support_counter
-from logloom.patterns import _adjacency, _arc_map, consequent_index, remove_node
+from logloom.patterns import consequent_index, remove_node
 
 
 def _reference_record(obj: object, dim_default: Dimension | None) -> LogRecord | str:
@@ -391,8 +391,8 @@ def subgraph_contains(host: Digraph, pattern: Digraph) -> bool:
         return False
 
     order = _matching_order(pattern)
-    arcs = _arc_map(host)
-    pattern_arcs = _arc_map(pattern)
+    arcs = _oriented_arcs(host)
+    pattern_arcs = _oriented_arcs(pattern)
     by_label: dict[Hashable, list[int]] = {}
     for idx, label in enumerate(host.labels):
         by_label.setdefault(label, []).append(idx)
@@ -424,10 +424,22 @@ def subgraph_contains(host: Digraph, pattern: Digraph) -> bool:
     return place(0)
 
 
+def _oriented_arcs(g: Digraph) -> dict[tuple[int, int], tuple[int, Hashable]]:
+    """(a, b) -> (0, label) for each arc a -> b, and (1, label) for its reverse."""
+    arcs: dict[tuple[int, int], tuple[int, Hashable]] = {}
+    for u, v, el in g.edges:
+        arcs[(u, v)] = (0, el)
+        arcs[(v, u)] = (1, el)
+    return arcs
+
+
 def _matching_order(pattern: Digraph) -> list[int]:
     """Vertex order where each vertex after its component's first is
     adjacent to an earlier one, keeping the matcher's frontier connected."""
-    adj = _adjacency(pattern)
+    adj: list[list[int]] = [[] for _ in range(pattern.n)]
+    for u, v, _ in pattern.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen: set[int] = set()
     order: list[int] = []
     for start in range(pattern.n):
@@ -438,7 +450,7 @@ def _matching_order(pattern: Digraph) -> list[int]:
         while queue:
             v = queue.pop(0)
             order.append(v)
-            for w, _, _ in adj[v]:
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

@@ -128,76 +128,6 @@ class TestMinDfsCode:
             assert same_code == brute_isomorphic(a, b)
 
 
-DISTINCT_POOL = [(dim, rid) for dim in Dimension for rid in range(3)]
-
-
-@st.composite
-def distinct_label_digraphs(draw):
-    """Connected digraph of 2-6 vertices with distinct labels: a random
-    spanning tree plus random extra arcs, directions and kinds drawn."""
-    n = draw(st.integers(2, 6))
-    labels = draw(st.lists(st.sampled_from(DISTINCT_POOL), min_size=n, max_size=n, unique=True))
-    kinds = st.sampled_from(["same", "cross"])
-    edges = set()
-    for v in range(1, n):
-        u = draw(st.integers(0, v - 1))
-        a, b = (u, v) if draw(st.booleans()) else (v, u)
-        edges.add((a, b, draw(kinds)))
-    joined = {frozenset((u, v)) for u, v, _ in edges}
-    for u, v in itertools.combinations(range(n), 2):
-        if frozenset((u, v)) not in joined and draw(st.booleans()):
-            a, b = (u, v) if draw(st.booleans()) else (v, u)
-            edges.add((a, b, draw(kinds)))
-    return g(labels, edges)
-
-
-def _dfs_code(graph, rnd):
-    """Code of one random DFS traversal of `graph`, with its labels in
-    discovery order. Each new vertex emits its tree entry, then its
-    backward entries in ascending discovery order."""
-    arcs = {(u, v): el for u, v, el in graph.edges}
-    nbrs = {v: set() for v in range(graph.n)}
-    for u, v, _ in graph.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-
-    def entry(i, j, hu, hv):
-        if (hu, hv) in arcs:
-            return (i, j, graph.labels[hu], 0, arcs[(hu, hv)], graph.labels[hv])
-        return (i, j, graph.labels[hu], 1, arcs[(hv, hu)], graph.labels[hv])
-
-    start = rnd.randrange(graph.n)
-    pos, stack, code = {start: 0}, [start], []
-    while stack:
-        cur = stack[-1]
-        fresh = sorted(nbrs[cur] - pos.keys())
-        if not fresh:
-            stack.pop()
-            continue
-        w = rnd.choice(fresh)
-        pos[w] = len(pos)
-        code.append(entry(pos[cur], pos[w], cur, w))
-        for u in sorted(nbrs[w] & pos.keys() - {cur, w}, key=pos.get):
-            code.append(entry(pos[w], pos[u], w, u))
-        stack.append(w)
-    return tuple(code), [graph.labels[v] for v in sorted(pos, key=pos.get)]
-
-
-class TestDistinctLabelReplay:
-    @settings(max_examples=300, deadline=None)
-    @given(distinct_label_digraphs(), st.randoms(use_true_random=False))
-    def test_replay_equals_full_search(self, graph, rnd):
-        """On minimum codes and on codes of other DFS traversals, the
-        replay agrees with comparing against the full canonical search."""
-        minimum, order = patterns_module._min_code_with_order(graph)
-        codes = [(minimum, [graph.labels[v] for v in order])]
-        codes += [_dfs_code(graph, rnd) for _ in range(4)]
-        for code, labels in codes:
-            full = min_dfs_code(patterns_module._code_to_graph(code, labels)) == code
-            assert patterns_module._is_min_code(code, labels) == full
-        assert patterns_module._is_min_code(*codes[0])
-
-
 class TestSubgraphContains:
     def test_non_induced_extra_arcs_allowed(self):
         host = g([A, B, C], [(0, 1, "same"), (1, 2, "same"), (0, 2, "cross")])
@@ -499,6 +429,71 @@ def window_databases(draw):
                     edges.add((u, v, kind))
         graphs.append(_window(index, labels, edges))
     return graphs
+
+
+def _near_complete_window(rng, index, n_min, n_max):
+    """Window of n_min-n_max distinct pool labels; each forward pair gets
+    an edge with probability 0.85."""
+    labels = rng.sample(LABEL_POOL, rng.randint(n_min, n_max))
+    edges = {
+        (u, v, rng.choice(["same", "cross"]))
+        for j, v in enumerate(labels)
+        for u in labels[:j]
+        if rng.random() < 0.85
+    }
+    return _window(index, labels, edges)
+
+
+# A -> B -> C -> D with A -> D and B -> D: the minimum code discovers the
+# path and then emits D's backward arcs to A and to B, in that order
+TWO_BACKWARD = _window(
+    0, [A, B, C, D],
+    [(A, B, "same"), (B, C, "same"), (C, D, "same"), (A, D, "same"), (B, D, "same")],
+)
+
+
+class TestDistinctLabelSearch:
+    """With distinct labels the search's child cuts alone decide which
+    codes are minimal; no code is checked after it is grown."""
+
+    def test_every_code_is_canonical_once(self, rng):
+        two_backward = mine_patterns([TWO_BACKWARD], POOL_WEIGHTS, ws_min=0.01, p_max=4)
+        whole = [p for p in two_backward if p.graph.n == 4 and len(p.graph.edges) == 5]
+        assert [e[:2] for e in whole[0].code][-2:] == [(3, 0), (3, 1)]
+        databases = [([TWO_BACKWARD], 4, True)]
+        for _ in range(12):
+            windows = [_near_complete_window(rng, i, 3, 4) for i in range(rng.randint(1, 3))]
+            databases.append((windows, 4, True))
+        for _ in range(8):
+            windows = [_near_complete_window(rng, i, 4, 6) for i in range(rng.randint(1, 3))]
+            databases.append((windows, rng.randint(3, 6), False))
+        for windows, p_max, small in databases:
+            mined = mine_patterns(windows, POOL_WEIGHTS, ws_min=0.01, p_max=p_max)
+            codes = [p.code for p in mined]
+            assert len(set(codes)) == len(codes)
+            for p in mined:
+                assert min_dfs_code(p.graph) == p.code
+            if small:
+                hosts = [window_digraph(w) for w in windows]
+                want = brute_pattern_universe(hosts, POOL_WEIGHTS, 0.01, p_max=p_max)
+                assert set(codes) == want.keys()
+
+    def test_window_graphs_never_reach_the_full_search(self, rng, monkeypatch):
+        calls = []
+        full_search = patterns_module.min_dfs_code
+
+        def counting_search(graph):
+            calls.append(graph)
+            return full_search(graph)
+
+        monkeypatch.setattr(patterns_module, "min_dfs_code", counting_search)
+        for _ in range(10):
+            windows = [_near_complete_window(rng, i, 1, 6) for i in range(rng.randint(1, 5))]
+            assert patterns_stage(SCORING_CFG, windows, POOL_RULES)
+        assert not calls
+        # a host with a repeated label does reach it
+        mine_patterns([g([A, A, B], [(0, 1, "same"), (1, 2, "same")])], WEIGHTS, 0.1, p_max=3)
+        assert calls
 
 
 class TestEmittedWeightedSupport:
